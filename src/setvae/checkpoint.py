@@ -16,12 +16,14 @@ a parameter (architecture vector, cardinality histogram, step counter)
 travels as ordinary named tensors; integers below 2^24 are exact in f32.
 
 Errors are distinct per failure: bad magic, bad version, bad checksum
-(truncation included).
+(truncation included). Saves are atomic: a failed save leaves the earlier
+file at that path intact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -36,19 +38,19 @@ ACTIVATIONS = ("none", "tanh01")
 
 
 class CheckpointError(Exception):
-    code = "checkpoint"
+    """A file that does not hold a readable checkpoint."""
 
 
 class CheckpointMagicError(CheckpointError):
-    code = "bad-magic"
+    """The file does not start with the checkpoint magic."""
 
 
 class CheckpointVersionError(CheckpointError):
-    code = "bad-version"
+    """The file has a format version this reader does not know."""
 
 
 class CheckpointChecksumError(CheckpointError):
-    code = "bad-checksum"
+    """The body does not match its checksum, truncation included."""
 
 
 def _pack_section(tensors: dict[str, np.ndarray]) -> bytes:
@@ -105,8 +107,17 @@ def save_checkpoint(
         + _pack_section(opt_tensors)
     )
     checksum = hashlib.sha256(body).digest()[:8]
-    with open(path, "wb") as f:
-        f.write(body + checksum)
+    # the file at `path` is replaced only once the new bytes are on disk
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(body + checksum)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failure
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:

@@ -64,7 +64,7 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     gen = load_jsonl(args.gen)
     ref = load_jsonl(args.ref)
-    rep = report(gen.sets, ref.sets, args.distance, workers=args.workers)
+    rep = report(gen.sets, ref.sets, args.distance)
     scale = 1e3 if rep.distance == "cd" else 1e2
     print(
         json.dumps(
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--gen", required=True)
     e.add_argument("--ref", required=True)
     e.add_argument("--distance", choices=("cd", "emd"), default="cd")
-    e.add_argument("--workers", type=int, default=1)
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("reconstruct", help="reconstruct sets + per-set metrics")

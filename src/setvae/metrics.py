@@ -8,12 +8,14 @@ reference sets that are some generated set's nearest neighbor), and 1-NNA
 (leave-one-out nearest-neighbor classification accuracy on the pooled
 populations, 0.5 ideal).
 
-All nearest-neighbor ties break toward the lowest index.
+`report` computes one pooled matrix of (|Sg| + |Sr|)^2 set distances: its
+Sg x Sr block gives MMD and COV, the whole gives 1-NNA, so the cost grows
+quadratically with population size. Nearest-neighbor ties break toward
+the lowest index.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,54 +138,49 @@ def _distance_fn(tag: str):
         raise ValueError(f"unknown distance '{tag}', expected cd or emd") from None
 
 
-def pairwise_dists(
-    A: list, B: list, distance: str = "cd", workers: int = 1
-) -> np.ndarray:
-    """(|A|, |B|) distance matrix; parallel rows, deterministic order."""
+def pairwise_dists(A: list, B: list, distance: str = "cd") -> np.ndarray:
+    """(|A|, |B|) distance matrix, row by row."""
     if not A or not B:
         raise ValueError("empty population")
     fn = _distance_fn(distance)
-
-    def row(x):
-        return np.array([fn(x, y) for y in B], dtype=np.float64)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, A))
-    else:
-        rows = [row(x) for x in A]
-    return np.stack(rows)
+    return np.array([[fn(x, y) for y in B] for x in A], dtype=np.float64)
 
 
-def mmd(Sg: list, Sr: list, distance: str = "cd", workers: int = 1) -> float:
-    """Mean over references of the distance to the closest generated set."""
-    d = pairwise_dists(Sg, Sr, distance, workers)
+def _mmd(d: np.ndarray) -> float:
     return float(d.min(axis=0).mean())
 
 
-def cov(Sg: list, Sr: list, distance: str = "cd", workers: int = 1) -> float:
+def _cov(d: np.ndarray) -> float:
+    return float(len(np.unique(d.argmin(axis=1))) / d.shape[1])
+
+
+def mmd(Sg: list, Sr: list, distance: str = "cd") -> float:
+    """Mean over references of the distance to the closest generated set."""
+    return _mmd(pairwise_dists(Sg, Sr, distance))
+
+
+def cov(Sg: list, Sr: list, distance: str = "cd") -> float:
     """Fraction of references that are some generated set's argmin."""
-    d = pairwise_dists(Sg, Sr, distance, workers)
-    matched = np.unique(d.argmin(axis=1))
-    return float(len(matched) / len(Sr))
+    return _cov(pairwise_dists(Sg, Sr, distance))
 
 
-def one_nna(Sg: list, Sr: list, distance: str = "cd", workers: int = 1) -> float:
+def one_nna(Sg: list, Sr: list, distance: str = "cd") -> float:
     """Nearest-neighbor two-sample accuracy on the pooled populations."""
+    return report(Sg, Sr, distance).one_nna
+
+
+def report(Sg: list, Sr: list, distance: str = "cd") -> MetricReport:
+    """All three scores from one pooled matrix of (|Sg| + |Sr|)^2 distances."""
     if len(Sg) != len(Sr):
         raise ValueError(f"1-NNA needs equal sizes, got {len(Sg)} and {len(Sr)}")
     pooled = list(Sg) + list(Sr)
-    d = pairwise_dists(pooled, pooled, distance, workers)
+    d = pairwise_dists(pooled, pooled, distance)
+    cross = d[: len(Sg), len(Sg) :]  # Sg x Sr, which holds no diagonal entry
     np.fill_diagonal(d, np.inf)
-    nn = d.argmin(axis=1)
-    labels = np.array([0] * len(Sg) + [1] * len(Sr))
-    return float(np.mean(labels[nn] == labels))
-
-
-def report(Sg: list, Sr: list, distance: str = "cd", workers: int = 1) -> MetricReport:
+    labels = np.arange(len(pooled)) >= len(Sg)
     return MetricReport(
-        mmd=mmd(Sg, Sr, distance, workers),
-        cov=cov(Sg, Sr, distance, workers),
-        one_nna=one_nna(Sg, Sr, distance, workers),
+        mmd=_mmd(cross),
+        cov=_cov(cross),
+        one_nna=float(np.mean(labels[d.argmin(axis=1)] == labels)),
         distance=distance.lower(),
     )

@@ -157,10 +157,6 @@ class CardinalityDist:
         return support[int(rng.categorical(probs, 1)[0])]
 
 
-def sample_cardinality(dist: CardinalityDist, rng: T.Rng) -> int:
-    return dist.sample(rng)
-
-
 def initial_set_kl_constant(dist: CardinalityDist, n: int) -> float:
     """-log p(n): the constant KL of the initial set, diagnostic only."""
     p = dist.prob(n)
@@ -513,15 +509,16 @@ class SetVAE:
                 temperature=temperature, mask=mask, eps=eps,
                 z_override=None if fixed_z is None else fixed_z[l],
             )
+            # no copies: no op writes into its output after returning it
             latents.levels.append(
                 {
-                    "x_in": cur.data.copy(),
-                    "z": step.z.data.copy(),
-                    "mu": step.mu.data.copy(),
-                    "sigma": step.sigma.data.copy(),
-                    "h": step.h.data.copy(),
-                    "dmu": None if step.dmu is None else step.dmu.data.copy(),
-                    "dsigma": None if step.dsigma is None else step.dsigma.data.copy(),
+                    "x_in": cur.data,
+                    "z": step.z.data,
+                    "mu": step.mu.data,
+                    "sigma": step.sigma.data,
+                    "h": step.h.data,
+                    "dmu": None if step.dmu is None else step.dmu.data,
+                    "dsigma": None if step.dsigma is None else step.dsigma.data,
                 }
             )
             cur = step.x_out

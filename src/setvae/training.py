@@ -5,7 +5,8 @@ Rng(seed, "shuffle", epoch) and all per-step noise from
 Rng(seed, "noise", step), so a run resumed from step k replays steps
 k+1.. with exactly the bits an uninterrupted run would have used.
 
-Each step appends one log line:
+Each step appends one log line; a resume keeps the lines up to the
+checkpoint's step and drops the rest:
 
     step=N recon=R kl=K beta=B lr=L total=T
 
@@ -110,9 +111,16 @@ def train(
 
     log_path = os.path.join(out_dir, "train_log.txt")
     final_path = os.path.join(out_dir, "final.svae")
-    mode = "a" if resume is not None else "w"
+    kept = []
+    if resume is not None and os.path.exists(log_path):
+        # steps after the checkpoint are replayed; a line with no newline
+        # was cut short by a crash
+        with open(log_path, encoding="utf-8") as f:
+            kept = [l for l in f
+                    if l.endswith("\n") and parse_log_line(l)["step"] <= start_step]
     done = start_step
-    with open(log_path, mode, encoding="utf-8") as log:
+    with open(log_path, "w", encoding="utf-8") as log:
+        log.writelines(kept)
         for epoch in range(epochs):
             if done >= total:
                 break
@@ -163,6 +171,7 @@ def train(
                     log_fn(line)
 
                 if done % cfg.ckpt_interval == 0 and done < total:
+                    log.flush()  # the log on disk covers every checkpoint
                     save_model(
                         os.path.join(out_dir, f"ckpt_{done:06d}.svae"),
                         model, opt, done,

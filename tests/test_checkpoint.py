@@ -1,10 +1,13 @@
 """Tests for the binary checkpoint format and its failure modes."""
 
 import hashlib
+import io
+import os
 
 import numpy as np
 import pytest
 
+import setvae.checkpoint as checkpoint
 import setvae.tensor as T
 from setvae.checkpoint import (
     MAGIC,
@@ -96,6 +99,27 @@ def test_truncated_file_fails_checksum(tmp_path):
     path.write_bytes(blob[:6])
     with pytest.raises(CheckpointChecksumError):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "keep.svae"
+    save_checkpoint(path, {"w": np.arange(6, dtype=np.float32)}, {})
+    before = path.read_bytes()
+
+    class HalfWrite(io.FileIO):
+        def write(self, b):
+            super().write(bytes(b)[: len(b) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.ones(6, dtype=np.float32)}, {})
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    model, _ = load_checkpoint(path)
+    assert np.array_equal(model["w"], np.arange(6, dtype=np.float32))
+    assert os.listdir(tmp_path) == ["keep.svae"]
 
 
 def test_corrupted_payload_fails_checksum(tmp_path):

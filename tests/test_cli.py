@@ -192,7 +192,7 @@ def test_eval_emd_display_scale(workspace, tmp_path):
     save_jsonl(gen_synthetic("circle", 6, (5, 5), 0.01, T.Rng(1, "d")), fixed)
     res = run_cli(
         "eval", "--gen", fixed, "--ref", fixed,
-        "--distance", "emd", "--workers", 2,
+        "--distance", "emd",
     )
     assert res.returncode == 0, res.stderr
     rep = json.loads(res.stdout)

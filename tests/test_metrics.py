@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import setvae.metrics as metrics
 from helpers import brute_force_assignment, chamfer_loops
 from setvae.metrics import (
     EMD_MAX_POINTS,
@@ -244,12 +245,25 @@ def test_metrics_with_emd_distance():
     assert r.distance == "emd"
 
 
-def test_parallel_rows_match_serial_exactly():
-    Sg = make_population(16, 7)
-    Sr = make_population(17, 9)
-    serial = pairwise_dists(Sg, Sr, "cd", workers=1)
-    parallel = pairwise_dists(Sg, Sr, "cd", workers=4)
-    assert np.array_equal(serial, parallel)
+def test_report_evaluates_each_pair_at_most_once(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return chamfer(x, y)
+
+    monkeypatch.setitem(metrics._DISTANCES, "cd", counted)
+    n = 6
+    # repeated arrays tie exactly, within and across the populations
+    base = make_population(16, 3)
+    Sg = [base[0], base[0], base[1], base[0] + 1.0, base[2], base[1]]
+    Sr = [base[1], base[0] - 1.0, base[0], base[2], base[2], base[0] + 1.0]
+
+    r = report(Sg, Sr)
+    assert len(calls) <= (2 * n) ** 2
+    assert (r.mmd, r.cov, r.one_nna) == (
+        mmd(Sg, Sr), cov(Sg, Sr), one_nna(Sg, Sr)
+    )
 
 
 def test_population_error_cases():

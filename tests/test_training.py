@@ -128,8 +128,17 @@ def test_resume_matches_uninterrupted_run(tmp_path):
 
     lines = (tmp_path / "resumed" / "train_log.txt").read_text().splitlines()
     assert [parse_log_line(l)["step"] for l in lines] == [6, 7, 8, 9, 10]
-    full_lines = (tmp_path / "full" / "train_log.txt").read_text().splitlines()
-    assert full_lines[5:] == lines
+    full_log = (tmp_path / "full" / "train_log.txt").read_bytes()
+    assert full_log.decode().splitlines()[5:] == lines
+
+    # resuming into the run's own directory replaces the replayed steps
+    straight_bytes = open(straight, "rb").read()
+    again = train(
+        cfg, ds, tmp_path / "full",
+        resume=str(tmp_path / "full" / "ckpt_000005.svae"),
+    )
+    assert open(again, "rb").read() == straight_bytes
+    assert (tmp_path / "full" / "train_log.txt").read_bytes() == full_log
 
 
 def test_resume_rejects_architecture_change(tmp_path):
