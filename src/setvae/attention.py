@@ -4,7 +4,10 @@ The building blocks, bottom to top:
 
 - ``multihead``: scaled dot-product attention, plain (softmax over keys)
   or slot mode (softmax over queries, then per-query renormalization so
-  no key is ignored). Equivariant in Q, invariant in (K, V) jointly.
+  no key is ignored). Equivariant in Q, invariant in (K, V) jointly. The
+  projections are split into a head axis, so all heads run as one batched
+  (…, heads, n_q, n_v) score product and one weighted sum, and are merged
+  back before the output projection.
 - ``mab``: attention + residual on the query + layer norm + affine
   feed-forward + second residual + layer norm.
 - ``isab``: two MABs routed through m learned inducing points. The inner
@@ -135,16 +138,17 @@ class InducingPoints:
         return {f"{prefix}/I": self.I}
 
 
-def _key_mask_for_scores(key_mask, q_ndim: int):
-    """Broadcastable (…, 1, n_v) view of a (n_v,) or (B, n_v) key mask."""
+def _key_mask_for_scores(key_mask, scores_ndim: int):
+    """View of a (n_v,) or (B, n_v) key mask that broadcasts against scores
+    (n_q, n_v), (B, n_q, n_v) or, with a head axis, (…, heads, n_q, n_v)."""
     if key_mask is None:
         return None
     m = np.asarray(key_mask, dtype=bool)
     if not m.any():
         raise T.DomainError("all keys masked")
     if m.ndim == 1:
-        return m[None, :] if q_ndim == 2 else m[None, None, :]
-    return m[:, None, :]
+        return m
+    return m.reshape(m.shape[:1] + (1,) * (scores_ndim - 2) + m.shape[1:])
 
 
 def _slot_parts(scores: Tensor, mask) -> tuple[Tensor, Tensor]:
@@ -161,12 +165,15 @@ def _slot_parts(scores: Tensor, mask) -> tuple[Tensor, Tensor]:
     return col_norm, T.normalize_rows(col_norm)
 
 
+def _scores(q: Tensor, k: Tensor) -> Tensor:
+    """Scaled dot products q k^T / sqrt(d_h) over the last two axes."""
+    return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+
+
 def slot_attention_parts(Q: Tensor, K: Tensor, key_mask=None) -> tuple[Tensor, Tensor]:
     """(column-normalized A', row-renormalized W') for raw Q, K."""
-    d_h = Q.shape[-1]
-    scores = T.scale(T.matmul(Q, T.transpose(K)), 1.0 / math.sqrt(d_h))
-    mask = _key_mask_for_scores(key_mask, Q.ndim)
-    return _slot_parts(scores, mask)
+    scores = _scores(Q, K)
+    return _slot_parts(scores, _key_mask_for_scores(key_mask, scores.ndim))
 
 
 def slot_attention_weights(Q: Tensor, K: Tensor, key_mask=None) -> Tensor:
@@ -174,12 +181,20 @@ def slot_attention_weights(Q: Tensor, K: Tensor, key_mask=None) -> Tensor:
     return slot_attention_parts(Q, K, key_mask)[1]
 
 
-def _attention_weights(scores: Tensor, mask, mode: str) -> Tensor:
+def _attention_weights(scores: Tensor, key_mask, mode: str) -> Tensor:
+    mask = _key_mask_for_scores(key_mask, scores.ndim)
     if mode == "plain":
         return T.softmax_axis(scores, axis=-1, mask=mask)
     if mode == "slot":
         return _slot_parts(scores, mask)[1]
     raise ConfigError(f"unknown attention mode '{mode}'")
+
+
+def _head_scores(Q: Tensor, K: Tensor, p: AttentionParams) -> Tensor:
+    """Scores of every head at once, (…, heads, n_q, n_v)."""
+    q = T.split_heads(T.affine(Q, p.W_q, p.b_q), p.heads)
+    k = T.split_heads(T.affine(K, p.W_k, p.b_k), p.heads)
+    return _scores(q, k)
 
 
 def multihead(
@@ -201,23 +216,10 @@ def multihead(
         raise T.ShapeError(f"K/V shapes differ: {K.shape} vs {V.shape}")
     if d % p.heads != 0:
         raise ConfigError(f"width {d} not divisible by heads {p.heads}")
-    d_h = d // p.heads
 
-    q = T.add_row(T.matmul(Q, p.W_q), p.b_q)
-    k = T.add_row(T.matmul(K, p.W_k), p.b_k)
-    v = T.add_row(T.matmul(V, p.W_v), p.b_v)
-    mask = _key_mask_for_scores(key_mask, Q.ndim)
-
-    outs = []
-    for h in range(p.heads):
-        qh = T.narrow(q, -1, h * d_h, d_h)
-        kh = T.narrow(k, -1, h * d_h, d_h)
-        vh = T.narrow(v, -1, h * d_h, d_h)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(d_h))
-        w = _attention_weights(scores, mask, mode)
-        outs.append(T.matmul(w, vh))
-    merged = outs[0] if p.heads == 1 else T.concat(outs, axis=-1)
-    return T.add_row(T.matmul(merged, p.W_o), p.b_o)
+    w = _attention_weights(_head_scores(Q, K, p), key_mask, mode)
+    v = T.split_heads(T.affine(V, p.W_v, p.b_v), p.heads)
+    return T.affine(T.merge_heads(T.matmul(w, v)), p.W_o, p.b_o)
 
 
 def multihead_head_weights(
@@ -231,14 +233,9 @@ def multihead_head_weights(
     """The (…, n_q, n_v) weight matrix of one head, as multihead applies it."""
     if not (0 <= head < p.heads):
         raise ConfigError(f"head {head} out of range for {p.heads} heads")
-    d = p.W_q.shape[0]
-    d_h = d // p.heads
-    q = T.add_row(T.matmul(Q, p.W_q), p.b_q)
-    k = T.add_row(T.matmul(K, p.W_k), p.b_k)
-    qh = T.narrow(q, -1, head * d_h, d_h)
-    kh = T.narrow(k, -1, head * d_h, d_h)
-    scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(d_h))
-    return _attention_weights(scores, _key_mask_for_scores(key_mask, Q.ndim), mode)
+    scores = T.narrow(_head_scores(Q, K, p), -3, head, 1)
+    # merging a single head only drops the head axis
+    return T.merge_heads(_attention_weights(scores, key_mask, mode))
 
 
 def mab(
@@ -251,7 +248,7 @@ def mab(
     """MAB(Q, V) = LN(a + FF(a)) with a = LN(Q + Multihead(Q, V, V))."""
     att = multihead(Q, V, V, p, key_mask=key_mask, mode=projection_mode)
     a = T.layer_norm(T.add(Q, att), p.ln1_g, p.ln1_b)
-    ff = T.add_row(T.matmul(a, p.ff_w), p.ff_b)
+    ff = T.affine(a, p.ff_w, p.ff_b)
     return T.layer_norm(T.add(a, ff), p.ln2_g, p.ln2_b)
 
 

@@ -16,8 +16,10 @@ a parameter (architecture vector, cardinality histogram, step counter)
 travels as ordinary named tensors; integers below 2^24 are exact in f32.
 
 Errors are distinct per failure: bad magic, bad version, bad checksum
-(truncation included). Saves are atomic: a failed save leaves the earlier
-file at that path intact.
+(truncation included). An architecture vector of the wrong length, or with
+an integer field that is fractional or out of range, is a CheckpointError.
+Saves are atomic: a failed save leaves the earlier file at that path
+intact.
 """
 
 from __future__ import annotations
@@ -158,14 +160,30 @@ def encode_config(cfg: ModelConfig) -> np.ndarray:
 
 
 def decode_config(vec: np.ndarray) -> ModelConfig:
-    vals = [float(v) for v in vec]
-    d, d_z, heads, K, d0, out_dim, act = (int(v) for v in vals[:7])
-    pos = 7
-    n_enc = int(vals[pos]); pos += 1
-    enc_m = tuple(int(v) for v in vals[pos : pos + n_enc]); pos += n_enc
-    n_gen = int(vals[pos]); pos += 1
-    gen_m = tuple(int(v) for v in vals[pos : pos + n_gen]); pos += n_gen
-    beta_max = vals[pos]; anneal = int(vals[pos + 1])
+    vals = [float(v) for v in np.ravel(vec)]
+
+    def field(pos: int, hi: int | None = None) -> int:
+        if pos >= len(vals):
+            raise CheckpointError(f"config record too short ({len(vals)} entries)")
+        v = vals[pos]
+        if not (v.is_integer() and v >= 0 and (hi is None or v < hi)):
+            bound = "a nonnegative integer" if hi is None else f"an integer in [0, {hi})"
+            raise CheckpointError(f"config record entry {pos} is {v!r}, expected {bound}")
+        return int(v)
+
+    d, d_z, heads, K, d0, out_dim = (field(i) for i in range(6))
+    act = field(6, len(ACTIVATIONS))
+    n_enc = field(7)
+    enc_m = tuple(field(8 + i) for i in range(n_enc))
+    pos = 8 + n_enc
+    n_gen = field(pos)
+    gen_m = tuple(field(pos + 1 + i) for i in range(n_gen))
+    pos += 1 + n_gen
+    if len(vals) != pos + 2:
+        raise CheckpointError(
+            f"config record has {len(vals)} entries, expected {pos + 2}"
+        )
+    beta_max, anneal = vals[pos], field(pos + 1)
     return ModelConfig(
         d=d, d_z=d_z, heads=heads, enc_m=enc_m, gen_m=gen_m, d0=d0, K=K,
         out_dim=out_dim, out_activation=ACTIVATIONS[act],

@@ -72,8 +72,8 @@ class ModelConfig:
         )
 
     def validate(self):
-        if self.d < 1 or self.d_z < 1 or self.d0 < 1 or self.K < 1:
-            raise ConfigError("widths and mixture size must be positive")
+        if min(self.d, self.d_z, self.d0, self.K, self.heads) < 1:
+            raise ConfigError("widths, heads and mixture size must be positive")
         if self.d % self.heads != 0:
             raise ConfigError(f"width {self.d} not divisible by heads {self.heads}")
         if self.out_dim not in (2, 3):
@@ -316,7 +316,7 @@ def abl_step(
             mu = T.expand_batch(mu, x_in.shape[0])
             logsig = T.expand_batch(logsig, x_in.shape[0])
     else:
-        stats = T.add_row(T.matmul(h, p.ff_prior_w), p.ff_prior_b)
+        stats = T.affine(h, p.ff_prior_w, p.ff_prior_b)
         mu, logsig = _split_stats(stats, d_z)
     sigma = T.exp(logsig)
 
@@ -328,7 +328,7 @@ def abl_step(
             raise T.ShapeError(
                 f"h_enc has {h_enc.shape[-2]} rows but level has m={p.m}"
             )
-        delta = T.add_row(T.matmul(T.add(h, h_enc), p.ff_post_w), p.ff_post_b)
+        delta = T.affine(T.add(h, h_enc), p.ff_post_w, p.ff_post_b)
         dmu, dlogsig = _split_stats(delta, d_z)
         dsigma = T.exp(dlogsig)
         mu_q = T.add(mu, dmu)
@@ -354,7 +354,7 @@ def abl_step(
         noise = T.mask_mul(sigma_s, eps * float(temperature))
         z = T.add(mu_s, noise)
 
-    x_out = mab(x_in, T.add_row(T.matmul(z, p.ff_z_w), p.ff_z_b), p.p_broad)
+    x_out = mab(x_in, T.affine(z, p.ff_z_w, p.ff_z_b), p.p_broad)
     return ABLStep(x_out, z, mu, sigma, kl, dmu, dsigma, h)
 
 
@@ -416,7 +416,7 @@ class SetVAE:
     def _encode_trace(self, x: SetBatch) -> tuple[list[Tensor], list[Tensor]]:
         if any(n < 1 for n in x.cards):
             raise ValueError("cannot encode an empty set")
-        cur = T.add_row(T.matmul(x.elems, self.enc_in_w), self.enc_in_b)
+        cur = T.affine(x.elems, self.enc_in_w, self.enc_in_b)
         hs, xins = [], []
         for ind, p_proj, p_broad in self.enc_levels:
             I = ind.I
@@ -494,7 +494,7 @@ class SetVAE:
         latents: LatentHierarchy,
         fixed_z: list | None = None,
     ) -> tuple[Tensor, list[Tensor]]:
-        cur = T.add_row(T.matmul(z0, self.gen_in_w), self.gen_in_b)
+        cur = T.affine(z0, self.gen_in_w, self.gen_in_b)
         kls = []
         for l, abl in enumerate(self.abls):
             h_enc = None
@@ -524,7 +524,7 @@ class SetVAE:
             cur = step.x_out
             if step.kl is not None:
                 kls.append(step.kl)
-        out = T.add_row(T.matmul(cur, self.out_w), self.out_b)
+        out = T.affine(cur, self.out_w, self.out_b)
         if self.cfg.out_activation == "tanh01":
             one = T.as_tensor(np.ones(self.cfg.out_dim, dtype=out.dtype))
             out = T.scale(T.add_row(T.tanh(out), one), 0.5)

@@ -6,10 +6,15 @@ returns a fresh tensor and records its inputs plus a vector-Jacobian
 callback, so the tape is rebuilt on each forward pass and variable set
 cardinality never invalidates a cached graph.
 
-Shapes are kept deliberately small-minded: rank 2 for weight matrices and
-single sets, rank 3 for padded batches of sets. Binary ops require equal
-shapes; the only broadcasts are `add_row` (a row vector added to every
-row) and the leading batch dimension inside `matmul`.
+Shapes: weight matrices and single sets are rank 2, padded batches of sets
+rank 3, and attention splits the feature axis into a head axis, so its
+scores and head-wise values are rank 4, (B, heads, n, d / heads).
+`split_heads` and `merge_heads` move between the two layouts. Elementwise
+binary ops require equal shapes. The broadcasts are few and explicit:
+`add_row` and `affine` add a row vector to every row, `matmul` broadcasts
+all leading axes of its two sides against each other (numpy rules), and
+`mask_mul`/`mask_fill` take any mask that broadcasts to their input.
+`affine(x, W, b)` computes x @ W + b as a single tape node.
 """
 
 from __future__ import annotations
@@ -232,12 +237,14 @@ def zero_grads(params) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch axis on either side is allowed."""
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes do not agree: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matmul batch sizes differ: {a.shape} @ {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"matmul batch sizes differ: {a.shape} @ {b.shape}") from None
     out = a.data @ b.data
 
     def vjp(g):
@@ -246,6 +253,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make(out, (a, b), vjp)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x (..., d_in), w (d_in, d_out), b (d_out,), one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine shapes do not agree: {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"affine expects ({w.shape[1]},) bias, got {b.shape}")
+    out = x.data @ w.data + b.data
+
+    def vjp(g):
+        rows = g.reshape(-1, w.shape[1])
+        # one gemm over every row of every set, not one per batch entry
+        gw = x.data.reshape(-1, w.shape[0]).T @ rows
+        return g @ w.data.T, gw, rows.sum(axis=0)
+
+    return _make(out, (x, w, b), vjp)
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """(..., n, d) -> (..., heads, n, d / heads); head h holds features
+    [h * d / heads, (h + 1) * d / heads)."""
+    x = as_tensor(x)
+    if x.ndim < 2 or heads < 1 or x.shape[-1] % heads != 0:
+        raise ShapeError(f"cannot split shape {x.shape} into {heads} heads")
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    out = np.swapaxes(x.data.reshape(*lead, n, heads, d // heads), -3, -2)
+    return _make(out, (x,), lambda g: (np.swapaxes(g, -3, -2).reshape(x.shape),))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(..., heads, n, d_h) -> (..., n, heads * d_h), inverse of split_heads."""
+    x = as_tensor(x)
+    if x.ndim < 3:
+        raise ShapeError(f"merge_heads needs a head axis, got shape {x.shape}")
+    lead, (heads, n, d_h) = x.shape[:-3], x.shape[-3:]
+    out = np.swapaxes(x.data, -3, -2).reshape(*lead, n, heads * d_h)
+
+    def vjp(g):
+        return (np.swapaxes(g.reshape(*lead, n, heads, d_h), -3, -2),)
+
+    return _make(out, (x,), vjp)
 
 
 def transpose(x: Tensor) -> Tensor:

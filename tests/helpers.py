@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: finite differences and brute force."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -54,6 +55,52 @@ def check_op_grad(op, shapes, rng, arrays=None, **kwargs) -> float:
 
         worst = max(worst, rel_err(leaves[i].grad, numeric_grad(f, a)))
     return worst
+
+
+def multihead_per_head(Q, K, V, p, key_mask=None, mode="plain"):
+    """Reference multihead attention, one head at a time.
+
+    Each head narrows its slice of the q/k/v projections, runs its own
+    scores, softmax and weighted sum, and a concat joins the heads before
+    the output projection. Returns (output, [weights of each head]).
+    """
+    d_h = p.W_q.shape[0] // p.heads
+    q = T.add_row(T.matmul(Q, p.W_q), p.b_q)
+    k = T.add_row(T.matmul(K, p.W_k), p.b_k)
+    v = T.add_row(T.matmul(V, p.W_v), p.b_v)
+    mask = None
+    if key_mask is not None:
+        mask = np.asarray(key_mask, dtype=bool)
+        mask = mask[..., None, :]  # (n_v,) or (B, n_v) -> one row per query
+
+    outs, weights = [], []
+    for h in range(p.heads):
+        qh = T.narrow(q, -1, h * d_h, d_h)
+        kh = T.narrow(k, -1, h * d_h, d_h)
+        vh = T.narrow(v, -1, h * d_h, d_h)
+        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(d_h))
+        if mode == "plain":
+            w = T.softmax_axis(scores, axis=-1, mask=mask)
+        else:
+            col = T.softmax_axis(scores, axis=-2)
+            if mask is not None:
+                col = T.mask_mul(col, mask)
+            w = T.normalize_rows(col)
+        weights.append(w)
+        outs.append(T.matmul(w, vh))
+    merged = outs[0] if p.heads == 1 else T.concat(outs, axis=-1)
+    return T.add_row(T.matmul(merged, p.W_o), p.b_o), weights
+
+
+def tape_nodes(out) -> int:
+    """Op outputs (tensors with parents) reachable from `out`, itself included."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._parents:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
 
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[float, tuple]:

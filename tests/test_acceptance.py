@@ -100,6 +100,11 @@ def op_sweep_cases():
     return [
         ("matmul", T.matmul, [(3, 4), (4, 2)], None),
         ("matmul_batched", T.matmul, [(2, 3, 4), (2, 4, 2)], None),
+        ("matmul_heads_broadcast", T.matmul, [(2, 3, 4, 5), (3, 5, 2)], None),
+        ("affine", T.affine, [(3, 4), (4, 2), (2,)], None),
+        ("affine_batched", T.affine, [(2, 3, 4), (4, 2), (2,)], None),
+        ("split_heads", lambda x: T.split_heads(x, 2), [(2, 3, 4)], None),
+        ("merge_heads", T.merge_heads, [(2, 2, 3, 2)], None),
         ("transpose", T.transpose, [(3, 4)], None),
         ("add", T.add, [(3, 4), (3, 4)], None),
         ("sub", T.sub, [(3, 4), (3, 4)], None),
@@ -378,6 +383,7 @@ def desk_run(desk_corpus):
 #  < 15 min; last-50 mean recon < 0.3 x mean over steps 10-60)
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_desk_scale_training(desk_run):
     assert desk_run["elapsed"] < 900.0
     lines = (desk_run["out"] / "train_log.txt").read_text().strip().splitlines()
@@ -400,6 +406,7 @@ def test_criterion_desk_scale_training(desk_run):
 # (median CD(x, x_hat) < median CD(x, random prior sample))
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_reconstruction_beats_prior(desk_run):
     root = desk_run["root"]
     full = load_jsonl(desk_run["data"])
@@ -440,6 +447,7 @@ def test_criterion_reconstruction_beats_prior(desk_run):
 # Criterion: K=1 ablation completes and its loss curve is logged
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_unimodal_ablation(desk_corpus):
     root = desk_corpus["root"]
     cfg = root / "ablation.cfg"
@@ -462,6 +470,7 @@ def test_criterion_unimodal_ablation(desk_corpus):
 # (trained on n in [32,64]; samples n in {8, 1024}, finite, exact count)
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_cardinality_generalization(desk_run):
     root = desk_run["root"]
     for n, count in ((8, 3), (1024, 2)):

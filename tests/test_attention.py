@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import multihead_per_head
 from setvae import tensor as T
 from setvae.attention import (
     AttentionParams,
@@ -12,6 +13,7 @@ from setvae.attention import (
     isab,
     mab,
     multihead,
+    multihead_head_weights,
     slot_attention_parts,
     slot_attention_weights,
 )
@@ -79,6 +81,62 @@ def test_multihead_width_mismatch_error():
             T.as_tensor(np.ones((3, 4))),
             p,
         )
+
+
+def _fused_vs_per_head_cases(rng, d=8, n_q=3, n_v=6):
+    """(Q, K, key mask) for a single set, masked and not, and a padded batch."""
+    single_mask = np.array([True, True, False, True, True, False])
+    batch_mask = np.zeros((2, n_v), dtype=bool)
+    batch_mask[0, :4] = True
+    batch_mask[1, :] = True
+    return [
+        (rng.standard_normal((n_q, d)), rng.standard_normal((n_v, d)), None),
+        (rng.standard_normal((n_q, d)), rng.standard_normal((n_v, d)), single_mask),
+        (rng.standard_normal((2, n_q, d)), rng.standard_normal((2, n_v, d)), batch_mask),
+    ]
+
+
+def _grads(attend, q, kv, p, cot):
+    """Gradients of <attend(q, kv, kv), cot> for q, kv and every parameter."""
+    leaves = [T.parameter(q.copy(), "q"), T.parameter(kv.copy(), "kv")]
+    T.sum_all(T.mul(attend(leaves[0], leaves[1], leaves[1]), cot)).backward()
+    params = p.named("p")
+    grads = [l.grad for l in leaves] + [t.grad for t in params.values()]
+    T.zero_grads(params)
+    return grads
+
+
+def test_fused_heads_match_per_head_loop():
+    rng = np.random.default_rng(41)
+    for heads in (1, 2, 4):
+        p = make_params(d=8, heads=heads, seed=heads)
+        for mode in ("plain", "slot"):
+            for q, kv, mask in _fused_vs_per_head_cases(rng):
+                Q, KV = T.as_tensor(q), T.as_tensor(kv)
+                fused = multihead(Q, KV, KV, p, key_mask=mask, mode=mode)
+                want, head_w = multihead_per_head(
+                    Q, KV, KV, p, key_mask=mask, mode=mode
+                )
+                assert fused.dtype == np.float64
+                assert np.max(np.abs(fused.data - want.data)) < 1e-12
+                for h in range(heads):
+                    w = multihead_head_weights(Q, KV, p, h, key_mask=mask, mode=mode)
+                    assert w.shape == head_w[h].shape
+                    assert np.max(np.abs(w.data - head_w[h].data)) < 1e-12
+
+                cot = T.as_tensor(rng.standard_normal(fused.shape))
+                got = _grads(
+                    lambda *a: multihead(*a, p, key_mask=mask, mode=mode),
+                    q, kv, p, cot,
+                )
+                exp = _grads(
+                    lambda *a: multihead_per_head(*a, p, key_mask=mask, mode=mode)[0],
+                    q, kv, p, cot,
+                )
+                for g, e in zip(got, exp):
+                    assert (g is None) == (e is None)
+                    if e is not None:
+                        assert np.max(np.abs(g - e)) < 1e-12
 
 
 def test_slot_weights_single_slot_uniform():

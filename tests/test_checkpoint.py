@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import setvae.checkpoint as checkpoint
+import setvae.cli as cli
 import setvae.tensor as T
 from setvae.checkpoint import (
     MAGIC,
@@ -78,6 +79,31 @@ def test_config_vector_round_trip():
     # schedule floats travel as f32, exact only up to that precision
     assert abs(back.beta_max - cfg.beta_max) < 1e-8
     assert back.anneal_steps == cfg.anneal_steps
+
+
+@pytest.mark.parametrize("act", [5.0, 2.5, -1.0])
+def test_malformed_activation_index_rejected(tmp_path, act):
+    # a well-formed file (valid checksum) whose config vector is not
+    model = tiny_model()
+    tensors = {name: p.data for name, p in model.params().items()}
+    tensors["meta/config"] = encode_config(model.cfg)
+    tensors["meta/config"][6] = act
+    path = tmp_path / "bad_config.svae"
+    save_checkpoint(path, tensors, {})
+    with pytest.raises(CheckpointError, match="entry 6"):
+        load_model(path)
+    argv = ["sample", "--ckpt", str(path), "--num-samples", "1",
+            "--out", str(tmp_path / "out.jsonl")]
+    assert cli.main(argv) == 1
+
+
+def test_config_vector_length_checked():
+    vec = encode_config(tiny_model().cfg)
+    long_enc = vec.copy()
+    long_enc[7] = 40.0  # more encoder levels than the record holds
+    for bad in (vec[:-1], np.append(vec, 0.0), vec[:3], long_enc):
+        with pytest.raises(CheckpointError, match="config record"):
+            decode_config(bad)
 
 
 def test_header_layout(tmp_path):

@@ -7,7 +7,10 @@ import pytest
 
 import setvae.tensor as T
 import setvae.metrics as M
+from helpers import tape_nodes
 from setvae.attention import ConfigError, SetBatch
+from setvae.config import TrainConfig
+from setvae.data import batch_pad, gen_synthetic
 from setvae.model import (
     ABLParams,
     CardinalityDist,
@@ -67,6 +70,8 @@ def test_config_rejects_bad_shapes():
         small_config(enc_m=(4, 2, 2), gen_m=(2, 4)).validate()
     with pytest.raises(ConfigError):
         small_config(K=0).validate()
+    with pytest.raises(ConfigError):
+        small_config(heads=0)  # not a ZeroDivisionError
     with pytest.raises(ConfigError):
         small_config(out_activation="sigmoid").validate()
 
@@ -407,6 +412,26 @@ def test_elbo_gradients_reach_every_trained_parameter():
     # component choice is a discrete draw, so the mixture weights get
     # no gradient from the ELBO
     assert model.params()["mog/logits"].grad is None
+
+
+def test_tape_node_budget():
+    # the default architecture as training builds it, on a desk-shaped batch
+    cfg = TrainConfig()
+    model = SetVAE(cfg.model_config(), T.Rng(0, "init"), dtype=cfg.np_dtype)
+    sets = [
+        s
+        for kind in ("circle", "cross")
+        for s in gen_synthetic(kind, 8, (32, 64), 0.01, T.Rng(0, kind)).sets
+    ]
+    x = batch_pad(sets, dtype=cfg.np_dtype)
+    assert x.size == 16 and 32 <= min(x.cards) and max(x.cards) <= 64
+    x_hat, kls, _ = model.infer(x, T.Rng(0, "noise", 0))
+    loss, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.005)
+    # half of what one narrow/matmul/softmax chain per head builds
+    # (1191 nodes per step, 522 per set)
+    assert tape_nodes(loss) <= 595
+    out, _ = model.generate([48], T.Rng(0, "gen"))
+    assert tape_nodes(out.elems) <= 261
 
 
 def test_masked_chamfer_matches_metric():

@@ -29,6 +29,9 @@ def test_matmul_against_triple_loop():
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         T.matmul(T.as_tensor(np.ones((2, 3))), T.as_tensor(np.ones((2, 3))))
+    # (B, heads, n, d_h) operands whose head axes disagree
+    with pytest.raises(T.ShapeError, match=r"\(2, 3, 4, 5\).*\(2, 2, 5, 4\)"):
+        T.matmul(T.as_tensor(np.ones((2, 3, 4, 5))), T.as_tensor(np.ones((2, 2, 5, 4))))
 
 
 def test_matmul_gradient():
@@ -150,6 +153,12 @@ def test_elementwise_gradients():
         (lambda x: T.narrow(x, 1, 1, 2), [(3, 4)]),
         (lambda a, b: T.concat([a, b], axis=1), [(3, 2), (3, 4)]),
         (lambda x: T.expand_batch(x, 3), [(2, 4)]),
+        (T.affine, [(3, 4), (4, 5), (5,)]),
+        (T.affine, [(2, 3, 4), (4, 5), (5,)]),
+        (lambda x: T.split_heads(x, 2), [(2, 3, 4)]),
+        (T.merge_heads, [(2, 2, 3, 2)]),
+        # right side shared across the batch axis of (B, heads, n, d_h)
+        (T.matmul, [(2, 3, 4, 5), (3, 5, 2)]),
     ]
     for op, shapes in cases:
         if op in (T.div,):
