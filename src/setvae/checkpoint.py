@@ -12,14 +12,19 @@ Layout, all integers little-endian:
 
 Payloads are pinned to f32, which makes save -> load -> save byte-stable
 and keeps f32 training runs exactly resumable. Model metadata that is not
-a parameter (architecture vector, cardinality histogram, step counter)
-travels as ordinary named tensors; integers below 2^24 are exact in f32.
+a parameter (config record, cardinality histogram, step counter) travels
+as ordinary named tensors; integers below 2^24 are exact in f32.
+
+The config record `meta/config` is `ModelConfig`'s fields in declaration
+order: an int field is one entry, `out_activation` its index in
+`ACTIVATIONS`, a tuple its length and then its entries, a float one entry.
 
 Errors are distinct per failure: bad magic, bad version, bad checksum
-(truncation included). An architecture vector of the wrong length, or with
-an integer field that is fractional or out of range, is a CheckpointError.
-Saves are atomic: a failed save leaves the earlier file at that path
-intact.
+(truncation included). A config record of the wrong length, and an
+integer entry of any metadata that is fractional, negative or out of
+range, are CheckpointErrors, as is a histogram or Adam moment missing its
+other half. Saves are atomic: a failed save leaves the earlier file at
+that path intact.
 """
 
 from __future__ import annotations
@@ -27,16 +32,15 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from . import tensor as T
-from .model import CardinalityDist, ModelConfig, SetVAE
+from .model import ACTIVATIONS, CardinalityDist, ModelConfig, SetVAE
 
 MAGIC = b"SVAE"
 VERSION = 1
-
-ACTIVATIONS = ("none", "tanh01")
 
 
 class CheckpointError(Exception):
@@ -149,46 +153,59 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
 # ---------------------------------------------------------------------------
 
 
+def _whole(v: float, what: str, hi: int | None = None) -> int:
+    if not (v.is_integer() and v >= 0 and (hi is None or v < hi)):
+        bound = "a nonnegative integer" if hi is None else f"an integer in [0, {hi})"
+        raise CheckpointError(f"{what} is {v!r}, expected {bound}")
+    return int(v)
+
+
+def _ints(tensors: dict[str, np.ndarray], name: str, size: int | None = None) -> list[int]:
+    if name not in tensors:
+        raise CheckpointError(f"checkpoint has no '{name}'")
+    vals = np.ravel(tensors[name])
+    if size is not None and vals.size != size:
+        raise CheckpointError(f"'{name}' has {vals.size} entries, expected {size}")
+    return [_whole(float(v), f"'{name}' entry {i}") for i, v in enumerate(vals)]
+
+
 def encode_config(cfg: ModelConfig) -> np.ndarray:
-    vec = [
-        cfg.d, cfg.d_z, cfg.heads, cfg.K, cfg.d0, cfg.out_dim,
-        ACTIVATIONS.index(cfg.out_activation),
-        len(cfg.enc_m), *cfg.enc_m, len(cfg.gen_m), *cfg.gen_m,
-        cfg.beta_max, cfg.anneal_steps,
-    ]
+    vec = []
+    for f in fields(ModelConfig):
+        v = getattr(cfg, f.name)
+        if f.type == "str":
+            vec.append(ACTIVATIONS.index(v))
+        elif f.type == "tuple":
+            vec += [len(v), *v]
+        else:
+            vec.append(v)
     return np.array(vec, dtype=np.float32)
 
 
 def decode_config(vec: np.ndarray) -> ModelConfig:
     vals = [float(v) for v in np.ravel(vec)]
+    pos = 0
 
-    def field(pos: int, hi: int | None = None) -> int:
+    def take(hi: int | None = None, raw: bool = False):
+        nonlocal pos
         if pos >= len(vals):
             raise CheckpointError(f"config record too short ({len(vals)} entries)")
-        v = vals[pos]
-        if not (v.is_integer() and v >= 0 and (hi is None or v < hi)):
-            bound = "a nonnegative integer" if hi is None else f"an integer in [0, {hi})"
-            raise CheckpointError(f"config record entry {pos} is {v!r}, expected {bound}")
-        return int(v)
+        pos += 1
+        v = vals[pos - 1]
+        return v if raw else _whole(v, f"config record entry {pos - 1}", hi)
 
-    d, d_z, heads, K, d0, out_dim = (field(i) for i in range(6))
-    act = field(6, len(ACTIVATIONS))
-    n_enc = field(7)
-    enc_m = tuple(field(8 + i) for i in range(n_enc))
-    pos = 8 + n_enc
-    n_gen = field(pos)
-    gen_m = tuple(field(pos + 1 + i) for i in range(n_gen))
-    pos += 1 + n_gen
-    if len(vals) != pos + 2:
-        raise CheckpointError(
-            f"config record has {len(vals)} entries, expected {pos + 2}"
-        )
-    beta_max, anneal = vals[pos], field(pos + 1)
-    return ModelConfig(
-        d=d, d_z=d_z, heads=heads, enc_m=enc_m, gen_m=gen_m, d0=d0, K=K,
-        out_dim=out_dim, out_activation=ACTIVATIONS[act],
-        beta_max=beta_max, anneal_steps=anneal,
-    )
+    out = {}
+    for f in fields(ModelConfig):
+        if f.type == "str":
+            out[f.name] = ACTIVATIONS[take(len(ACTIVATIONS))]
+        elif f.type == "tuple":
+            n = take()
+            out[f.name] = tuple(take() for _ in range(n))
+        else:
+            out[f.name] = take(raw=f.type == "float")
+    if pos != len(vals):
+        raise CheckpointError(f"config record has {len(vals)} entries, expected {pos}")
+    return ModelConfig(**out)
 
 
 def save_model(
@@ -233,18 +250,24 @@ def load_model(path, dtype=np.float32) -> tuple[SetVAE, T.AdamState | None, int]
                 f"parameter '{name}' has shape {arr.shape}, expected {p.data.shape}"
             )
         p.data = arr
-    if "meta/pn_support" in tensors:
-        support = tensors["meta/pn_support"]
-        counts = tensors["meta/pn_counts"]
-        model.card_dist = CardinalityDist(
-            {int(n): int(c) for n, c in zip(support, counts)}
-        )
-    step = int(opt.get("train/step", np.zeros(1))[0])
+    if "meta/pn_support" in tensors or "meta/pn_counts" in tensors:
+        support = _ints(tensors, "meta/pn_support")
+        counts = _ints(tensors, "meta/pn_counts")
+        if len(support) != len(counts):
+            raise CheckpointError(
+                f"cardinality histogram has {len(support)} sizes "
+                f"but {len(counts)} counts"
+            )
+        model.card_dist = CardinalityDist(dict(zip(support, counts)))
+    step = _ints(opt, "train/step", 1)[0] if "train/step" in opt else 0
     state = None
     if "adam/step" in opt:
-        state = T.AdamState(step=int(opt["adam/step"][0]))
+        state = T.AdamState(step=_ints(opt, "adam/step", 1)[0])
         for name in params:
-            if f"adam/m/{name}" in opt:
-                state.m[name] = opt[f"adam/m/{name}"].astype(dtype, copy=True)
-                state.v[name] = opt[f"adam/v/{name}"].astype(dtype, copy=True)
+            m, v = opt.get(f"adam/m/{name}"), opt.get(f"adam/v/{name}")
+            if (m is None) != (v is None):
+                raise CheckpointError(f"Adam state for '{name}' lacks m or v")
+            if m is not None:
+                state.m[name] = m.astype(dtype, copy=True)
+                state.v[name] = v.astype(dtype, copy=True)
     return model, state, step

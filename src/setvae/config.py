@@ -7,6 +7,7 @@ Integer lists (enc_m, gen_m) are comma-separated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -16,21 +17,9 @@ from .model import ModelConfig
 
 
 @dataclass
-class TrainConfig:
-    # architecture
-    d: int = 64
-    d_z: int = 16
-    heads: int = 4
-    enc_m: tuple = (32, 16, 8, 4, 2)
-    gen_m: tuple = (2, 4, 8, 16, 32)
-    d0: int = 32
-    K: int = 4
-    out_dim: int = 2
-    out_activation: str = "tanh01"
-    # objective
-    beta_max: float = 0.01
-    anneal_steps: int = 1000
-    # optimization
+class TrainConfig(ModelConfig):
+    """`ModelConfig`'s fields, then the optimisation settings."""
+
     lr: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -43,12 +32,10 @@ class TrainConfig:
     ckpt_interval: int = 500
     dtype: str = "f32"
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        super().validate()
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be finite and positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ConfigError("adam betas must lie in (0, 1)")
         if self.epochs < 1 and self.steps < 1:
@@ -57,21 +44,15 @@ class TrainConfig:
             raise ConfigError("batch_size must be positive")
         if not (0.0 <= self.lr_decay_start <= 1.0):
             raise ConfigError("lr_decay_start must lie in [0, 1]")
-        if self.grad_clip < 0:
-            raise ConfigError("grad_clip must be nonnegative")
+        if not 0 <= self.grad_clip < math.inf:
+            raise ConfigError("grad_clip must be finite and nonnegative")
         if self.ckpt_interval < 1:
             raise ConfigError("ckpt_interval must be positive")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got '{self.dtype}'")
-        self.model_config()  # architecture invariants
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d=self.d, d_z=self.d_z, heads=self.heads,
-            enc_m=self.enc_m, gen_m=self.gen_m, d0=self.d0, K=self.K,
-            out_dim=self.out_dim, out_activation=self.out_activation,
-            beta_max=self.beta_max, anneal_steps=self.anneal_steps,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     @property
     def np_dtype(self):

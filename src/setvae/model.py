@@ -38,21 +38,26 @@ from .tensor import Tensor
 LOGSIG_LO = -7.0
 LOGSIG_HI = 7.0
 PAD_DISTANCE = 1e30
+ACTIVATIONS = ("none", "tanh01")  # out_activation values, in checkpoint index order
 
 
 @dataclass
 class ModelConfig:
+    """Architecture and KL schedule; the checkpoint record keeps this order."""
+
     d: int = 64
     d_z: int = 16
     heads: int = 4
+    K: int = 4
+    d0: int = 32
+    out_dim: int = 2
+    out_activation: str = "tanh01"
     enc_m: tuple = (32, 16, 8, 4, 2)
     gen_m: tuple = (2, 4, 8, 16, 32)
-    d0: int = 32
-    K: int = 4
-    out_dim: int = 2
-    out_activation: str = "none"
-    beta_max: float = 0.01
-    anneal_steps: int = 1000
+    # the schedule does not shape parameters, and travels through a
+    # checkpoint as f32, so `==` compares only the architecture
+    beta_max: float = field(default=0.01, compare=False)
+    anneal_steps: int = field(default=1000, compare=False)
 
     def __post_init__(self):
         self.enc_m = tuple(int(m) for m in self.enc_m)
@@ -63,14 +68,6 @@ class ModelConfig:
     def levels(self) -> int:
         return len(self.gen_m)
 
-    def architecture(self) -> tuple:
-        """The fields parameter shapes depend on; schedule floats are
-        excluded so an f32 round trip through a checkpoint still matches."""
-        return (
-            self.d, self.d_z, self.heads, self.enc_m, self.gen_m,
-            self.d0, self.K, self.out_dim, self.out_activation,
-        )
-
     def validate(self):
         if min(self.d, self.d_z, self.d0, self.K, self.heads) < 1:
             raise ConfigError("widths, heads and mixture size must be positive")
@@ -78,7 +75,7 @@ class ModelConfig:
             raise ConfigError(f"width {self.d} not divisible by heads {self.heads}")
         if self.out_dim not in (2, 3):
             raise ConfigError(f"out_dim must be 2 or 3, got {self.out_dim}")
-        if self.out_activation not in ("none", "tanh01"):
+        if self.out_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown out_activation '{self.out_activation}'")
         if not self.enc_m or not self.gen_m:
             raise ConfigError("enc_m and gen_m must be nonempty")
@@ -97,8 +94,8 @@ class ModelConfig:
                     f"generator level {l} has m={m} but paired encoder level "
                     f"has m={paired}; cardinalities must match (m=1 pools)"
                 )
-        if self.beta_max < 0 or self.anneal_steps < 0:
-            raise ConfigError("beta_max and anneal_steps must be nonnegative")
+        if not (0 <= self.beta_max < math.inf and self.anneal_steps >= 0):
+            raise ConfigError("beta_max and anneal_steps must be finite and nonnegative")
 
 
 @dataclass
@@ -245,16 +242,13 @@ class ABLStep:
     x_out: Tensor
     z: Tensor
     mu: Tensor
-    sigma: Tensor
     kl: Tensor | None = None
-    dmu: Tensor | None = None
-    dsigma: Tensor | None = None
-    h: Tensor | None = None
 
 
 @dataclass
 class LatentHierarchy:
-    """Numpy snapshots of the latent path, for diagnostics and export."""
+    """Numpy snapshots of the latent path: per level, its input `x_in`
+    and its latent `z`."""
 
     z0: np.ndarray
     assignments: np.ndarray
@@ -320,7 +314,7 @@ def abl_step(
         mu, logsig = _split_stats(stats, d_z)
     sigma = T.exp(logsig)
 
-    kl = dmu = dsigma = None
+    kl = None
     if mode == "infer":
         if h_enc is None:
             raise ConfigError("infer mode requires h_enc")
@@ -355,7 +349,7 @@ def abl_step(
         z = T.add(mu_s, noise)
 
     x_out = mab(x_in, T.affine(z, p.ff_z_w, p.ff_z_b), p.p_broad)
-    return ABLStep(x_out, z, mu, sigma, kl, dmu, dsigma, h)
+    return ABLStep(x_out, z, mu, kl)
 
 
 class SetVAE:
@@ -509,18 +503,9 @@ class SetVAE:
                 temperature=temperature, mask=mask, eps=eps,
                 z_override=None if fixed_z is None else fixed_z[l],
             )
-            # no copies: no op writes into its output after returning it
-            latents.levels.append(
-                {
-                    "x_in": cur.data,
-                    "z": step.z.data,
-                    "mu": step.mu.data,
-                    "sigma": step.sigma.data,
-                    "h": step.h.data,
-                    "dmu": None if step.dmu is None else step.dmu.data,
-                    "dsigma": None if step.dsigma is None else step.dsigma.data,
-                }
-            )
+            # only what is read: `z` by `sample --fix-latents`, `x_in` by
+            # `attn_assignments`; no copies, no op writes into its output
+            latents.levels.append({"x_in": cur.data, "z": step.z.data})
             cur = step.x_out
             if step.kl is not None:
                 kls.append(step.kl)
@@ -548,6 +533,8 @@ class SetVAE:
         `fixed_z` pins the per-level latents to given values (the
         initial set is still sampled), `level_eps` pins only the noise.
         """
+        if not math.isfinite(temperature):
+            raise ValueError(f"temperature must be finite, got {temperature}")
         cards = [int(n) for n in cards]
         mask = np.zeros((len(cards), max(cards)), dtype=bool)
         for b, n in enumerate(cards):

@@ -94,7 +94,7 @@ def train(
 
     if resume is not None:
         model, opt, start_step = load_model(resume, dtype=dtype)
-        if model.cfg.architecture() != cfg.model_config().architecture():
+        if model.cfg != cfg.model_config():
             raise ValueError("resume checkpoint architecture differs from config")
         if opt is None:
             opt = T.AdamState()

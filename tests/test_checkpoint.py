@@ -75,7 +75,7 @@ def test_config_vector_round_trip():
         anneal_steps=700,
     )
     back = decode_config(encode_config(cfg))
-    assert back.architecture() == cfg.architecture()
+    assert back == cfg
     # schedule floats travel as f32, exact only up to that precision
     assert abs(back.beta_max - cfg.beta_max) < 1e-8
     assert back.anneal_steps == cfg.anneal_steps
@@ -91,6 +91,68 @@ def test_malformed_activation_index_rejected(tmp_path, act):
     path = tmp_path / "bad_config.svae"
     save_checkpoint(path, tensors, {})
     with pytest.raises(CheckpointError, match="entry 6"):
+        load_model(path)
+    argv = ["sample", "--ckpt", str(path), "--num-samples", "1",
+            "--out", str(tmp_path / "out.jsonl")]
+    assert cli.main(argv) == 1
+
+
+def test_default_config_record_literal():
+    # ModelConfig's fields in declaration order: ints, the activation
+    # index, each tuple as its length then its entries, the f32 float
+    assert encode_config(ModelConfig()).tolist() == [
+        64, 16, 4, 4, 32, 2, 1, 5, 32, 16, 8, 4, 2, 5, 2, 4, 8, 16, 32,
+        float(np.float32(0.01)), 1000,
+    ]
+
+
+def _drop(name):
+    return lambda model, tensors, opt: tensors.pop(name)
+
+
+def _set(name, value):
+    def apply(model, tensors, opt):
+        (opt if name in opt else tensors)[name] = np.array(value, dtype=np.float32)
+    return apply
+
+
+def _drop_adam_v(model, tensors, opt):
+    del opt[f"adam/v/{next(iter(model.params()))}"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop("meta/pn_counts"), "no 'meta/pn_counts'"),
+        (_drop("meta/pn_support"), "no 'meta/pn_support'"),
+        (_set("meta/pn_counts", [3.0, 1.0, 2.0]), "2 sizes but 3 counts"),
+        (_set("meta/pn_support", [4.5, 7.0]), "'meta/pn_support' entry 0"),
+        (_set("meta/pn_counts", [3.0, -1.0]), "'meta/pn_counts' entry 1"),
+        (_drop_adam_v, "lacks m or v"),
+        (_set("train/step", [2.5]), "'train/step' entry 0"),
+        (_set("adam/step", [2.0, 3.0]), "'adam/step' has 2 entries"),
+    ],
+    ids=["support_without_counts", "counts_without_support", "length_mismatch",
+         "fractional_size", "negative_count", "adam_m_without_v",
+         "fractional_step", "adam_step_length"],
+)
+def test_malformed_metadata_rejected(tmp_path, corrupt, message):
+    # a well-formed file (valid checksum) whose metadata is not
+    model = tiny_model()
+    model.card_dist = CardinalityDist({4: 3, 7: 1})
+    tensors = {name: p.data for name, p in model.params().items()}
+    tensors["meta/config"] = encode_config(model.cfg)
+    tensors["meta/pn_support"] = np.array([4.0, 7.0], dtype=np.float32)
+    tensors["meta/pn_counts"] = np.array([3.0, 1.0], dtype=np.float32)
+    opt = {"train/step": np.array([2.0], dtype=np.float32),
+           "adam/step": np.array([2.0], dtype=np.float32)}
+    for name, p in model.params().items():
+        opt[f"adam/m/{name}"] = np.zeros_like(p.data)
+        opt[f"adam/v/{name}"] = np.ones_like(p.data)
+    corrupt(model, tensors, opt)
+    path = tmp_path / "bad_meta.svae"
+    save_checkpoint(path, tensors, opt)
+    with pytest.raises(CheckpointError, match=message):
         load_model(path)
     argv = ["sample", "--ckpt", str(path), "--num-samples", "1",
             "--out", str(tmp_path / "out.jsonl")]

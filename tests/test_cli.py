@@ -171,6 +171,19 @@ def test_sample_requires_n_without_stored_distribution(tmp_path):
     assert "pass --n" in res.stderr
 
 
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_sample_rejects_non_finite_temperature(workspace, tmp_path, temperature):
+    out = tmp_path / "hot.jsonl"
+    res = run_cli(
+        "sample", "--ckpt", workspace["ckpt"], "--num-samples", 2,
+        "--temperature", temperature, "--out", out,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: temperature must be finite")
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------

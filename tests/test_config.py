@@ -1,10 +1,13 @@
 """Tests for the key=value config format."""
 
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 from setvae.attention import ConfigError
 from setvae.config import TrainConfig, load_config, parse_config
+from setvae.model import ModelConfig
 
 
 def test_defaults_match_documented_values():
@@ -24,6 +27,23 @@ def test_defaults_match_documented_values():
     assert cfg.grad_clip == 5.0
     assert cfg.dtype == "f32"
     assert cfg.np_dtype == np.float32
+
+
+def test_train_defaults_are_the_model_defaults():
+    assert TrainConfig().model_config() == ModelConfig()
+    assert asdict(TrainConfig().model_config()) == asdict(ModelConfig())
+
+
+def test_every_default_survives_the_file_format():
+    cfg = TrainConfig()
+    lines = []
+    for f in fields(TrainConfig):
+        v = getattr(cfg, f.name)
+        text = ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+        lines.append(f"{f.name} = {text}")
+    back = parse_config("\n".join(lines))
+    assert asdict(back) == asdict(cfg)
+    assert len(lines) == 22
 
 
 def test_parse_basic_file():
@@ -71,6 +91,13 @@ def test_validation_errors():
         TrainConfig(dtype="f16")
     with pytest.raises(ConfigError):
         TrainConfig(ckpt_interval=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(beta_max=bad)
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=bad)
+        with pytest.raises(ConfigError):
+            TrainConfig(grad_clip=bad)
     with pytest.raises(ConfigError):  # architecture invariants also checked
         TrainConfig(d=10, heads=4)
 

@@ -355,7 +355,6 @@ def test_infer_kl_contract():
     for kl in kls:
         assert kl.shape == (2,)
         assert np.all(kl.data > -1e-9)
-    assert lat.levels[0]["dmu"] is not None
 
 
 def test_infer_kl_permutation_invariant():
