@@ -61,6 +61,14 @@ class SetBatch:
         return self.elems.shape[1]
 
 
+def init_affine(fan_in: int, fan_out: int, rng: T.Rng, dtype) -> tuple[Tensor, Tensor]:
+    """Weight (fan_in, fan_out) and bias, uniform in +-1/sqrt(fan_in)."""
+    bound = 1.0 / math.sqrt(fan_in)
+    w = rng.fork("w").uniform(-bound, bound, (fan_in, fan_out), dtype)
+    b = rng.fork("b").uniform(-bound, bound, (fan_out,), dtype)
+    return T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
+
+
 @dataclass
 class AttentionParams:
     """Weights of one MAB: four projections, FF affine, two layer norms."""
@@ -85,18 +93,11 @@ class AttentionParams:
     def init(d: int, heads: int, rng: T.Rng, dtype=np.float64) -> "AttentionParams":
         if d % heads != 0:
             raise ConfigError(f"width {d} not divisible by heads {heads}")
-        bound = 1.0 / math.sqrt(d)
-
-        def affine(tag):
-            w = rng.fork(tag, "w").uniform(-bound, bound, (d, d), dtype)
-            b = rng.fork(tag, "b").uniform(-bound, bound, (d,), dtype)
-            return T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
-
-        W_q, b_q = affine("q")
-        W_k, b_k = affine("k")
-        W_v, b_v = affine("v")
-        W_o, b_o = affine("o")
-        ff_w, ff_b = affine("ff")
+        W_q, b_q = init_affine(d, d, rng.fork("q"), dtype)
+        W_k, b_k = init_affine(d, d, rng.fork("k"), dtype)
+        W_v, b_v = init_affine(d, d, rng.fork("v"), dtype)
+        W_o, b_o = init_affine(d, d, rng.fork("o"), dtype)
+        ff_w, ff_b = init_affine(d, d, rng.fork("ff"), dtype)
         ones = np.ones(d, dtype=dtype)
         zeros = np.zeros(d, dtype=dtype)
         return AttentionParams(
@@ -174,11 +175,6 @@ def slot_attention_parts(Q: Tensor, K: Tensor, key_mask=None) -> tuple[Tensor, T
     """(column-normalized A', row-renormalized W') for raw Q, K."""
     scores = _scores(Q, K)
     return _slot_parts(scores, _key_mask_for_scores(key_mask, scores.ndim))
-
-
-def slot_attention_weights(Q: Tensor, K: Tensor, key_mask=None) -> Tensor:
-    """Attention weights normalized so every key gets total weight 1."""
-    return slot_attention_parts(Q, K, key_mask)[1]
 
 
 def _attention_weights(scores: Tensor, key_mask, mode: str) -> Tensor:

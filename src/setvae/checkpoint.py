@@ -258,16 +258,23 @@ def load_model(path, dtype=np.float32) -> tuple[SetVAE, T.AdamState | None, int]
                 f"cardinality histogram has {len(support)} sizes "
                 f"but {len(counts)} counts"
             )
+        if len(set(support)) != len(support):
+            raise CheckpointError(f"cardinality histogram repeats a size: {support}")
         model.card_dist = CardinalityDist(dict(zip(support, counts)))
     step = _ints(opt, "train/step", 1)[0] if "train/step" in opt else 0
     state = None
     if "adam/step" in opt:
         state = T.AdamState(step=_ints(opt, "adam/step", 1)[0])
-        for name in params:
+        for name, p in params.items():
             m, v = opt.get(f"adam/m/{name}"), opt.get(f"adam/v/{name}")
             if (m is None) != (v is None):
                 raise CheckpointError(f"Adam state for '{name}' lacks m or v")
             if m is not None:
+                if not m.shape == v.shape == p.shape:
+                    raise CheckpointError(
+                        f"Adam state for '{name}' has shapes {m.shape} and "
+                        f"{v.shape}, expected {p.shape}"
+                    )
                 state.m[name] = m.astype(dtype, copy=True)
                 state.v[name] = v.astype(dtype, copy=True)
     return model, state, step

@@ -49,9 +49,9 @@ def cmd_sample(args) -> int:
     sets, fixed_z = [], None
     for i in range(args.num_samples):
         n = args.n if args.n is not None else model.card_dist.sample(rng.fork("card", i))
+        noise = model.draw_noise([n], rng.fork("gen", i))
         out, lat = model.generate(
-            [int(n)], rng.fork("gen", i),
-            temperature=args.temperature, fixed_z=fixed_z,
+            [n], noise, temperature=args.temperature, fixed_z=fixed_z
         )
         if args.fix_latents and fixed_z is None:
             fixed_z = [lvl["z"][0] for lvl in lat.levels]
@@ -92,7 +92,7 @@ def cmd_reconstruct(args) -> int:
         chunk = ds.sets[start : start + RECONSTRUCT_BATCH]
         batch = batch_pad(chunk, dtype=model.dtype)
         rng = T.Rng(args.seed, "reconstruct", start)
-        x_hat, kls, _ = model.infer(batch, rng)
+        x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
         outs = unpad(x_hat)
         for b, (x, xh) in enumerate(zip(chunk, outs)):
             recons.append(xh.astype(np.float64))

@@ -1,10 +1,10 @@
 """Point-set distances and population-level generative metrics.
 
-Set distances: Chamfer (two-way squared nearest neighbors) and optimal
-matching through an exact O(n^3) Hungarian assignment, in the non-squared
-(EMD) and squared variants. Population metrics: MMD (average distance
-from each reference set to its closest generated set), COV (fraction of
-reference sets that are some generated set's nearest neighbor), and 1-NNA
+Set distances: Chamfer (two-way squared nearest neighbors) and EMD, the
+optimal matching over Euclidean costs through an exact O(n^3) Hungarian
+assignment. Population metrics: MMD (average distance from each
+reference set to its closest generated set), COV (fraction of reference
+sets that are some generated set's nearest neighbor), and 1-NNA
 (leave-one-out nearest-neighbor classification accuracy on the pooled
 populations, 0.5 ideal).
 
@@ -101,7 +101,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _matching_cost(x, y, squared: bool) -> float:
+def emd(x, y) -> float:
+    """Optimal-assignment distance over non-squared Euclidean costs."""
     x, y = _check_pointset(x, "x"), _check_pointset(y, "y")
     if x.shape != y.shape:
         raise ValueError(
@@ -112,20 +113,9 @@ def _matching_cost(x, y, squared: bool) -> float:
             f"set size {x.shape[0]} exceeds the exact-matching cap "
             f"{EMD_MAX_POINTS}"
         )
-    d2 = _sq_dists(x, y)
-    cost = d2 if squared else np.sqrt(d2)
+    cost = np.sqrt(_sq_dists(x, y))
     perm = hungarian(cost)
     return float(cost[np.arange(len(perm)), perm].sum())
-
-
-def emd(x, y) -> float:
-    """Optimal-assignment distance over non-squared Euclidean costs."""
-    return _matching_cost(x, y, squared=False)
-
-
-def optimal_matching_sq(x, y) -> float:
-    """Optimal-assignment distance over squared Euclidean costs."""
-    return _matching_cost(x, y, squared=True)
 
 
 _DISTANCES = {"cd": chamfer, "emd": emd}

@@ -13,6 +13,12 @@ corrections: z ~ N(mu + dmu, sigma * dsigma) where (dmu, log dsigma) is a
 learned function of h + h_enc. The initial set is drawn from the prior
 (its KL contribution is the constant -log p(n), reported separately).
 
+Randomness enters a pass in one place: `SetVAE.draw_noise(cards, rng)`
+draws a `Noise` (the mixture component and the Gaussian noise of every
+initial element, one standard normal per latent entry of every level),
+and `generate` and `infer` take that `Noise` as plain arrays. Fixed
+arrays give a fixed pass.
+
 The objective is two-way squared-nearest-neighbor reconstruction plus a
 beta-weighted sum of per-level KL terms.
 """
@@ -30,6 +36,7 @@ from .attention import (
     ConfigError,
     InducingPoints,
     SetBatch,
+    init_affine,
     mab,
     multihead_head_weights,
 )
@@ -162,13 +169,6 @@ def initial_set_kl_constant(dist: CardinalityDist, n: int) -> float:
     return -math.log(p)
 
 
-def _affine(fan_in: int, fan_out: int, rng: T.Rng, dtype) -> tuple[Tensor, Tensor]:
-    bound = 1.0 / math.sqrt(fan_in)
-    w = rng.fork("w").uniform(-bound, bound, (fan_in, fan_out), dtype)
-    b = rng.fork("b").uniform(-bound, bound, (fan_out,), dtype)
-    return T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
-
-
 @dataclass
 class ABLParams:
     """One attentive bottleneck level.
@@ -197,8 +197,8 @@ class ABLParams:
         m: int, d: int, d_z: int, heads: int, rng: T.Rng,
         unconditional: bool, dtype=np.float64,
     ) -> "ABLParams":
-        ff_z_w, ff_z_b = _affine(d_z, d, rng.fork("ff_z"), dtype)
-        ff_post_w, ff_post_b = _affine(d, 2 * d_z, rng.fork("ff_post"), dtype)
+        ff_z_w, ff_z_b = init_affine(d_z, d, rng.fork("ff_z"), dtype)
+        ff_post_w, ff_post_b = init_affine(d, 2 * d_z, rng.fork("ff_post"), dtype)
         p = ABLParams(
             InducingPoints.init(m, d, rng.fork("I"), dtype),
             AttentionParams.init(d, heads, rng.fork("proj"), dtype),
@@ -211,7 +211,9 @@ class ABLParams:
             )
             p.prior_logsig = T.Tensor(np.zeros((m, d_z), dtype=dtype), requires_grad=True)
         else:
-            p.ff_prior_w, p.ff_prior_b = _affine(d, 2 * d_z, rng.fork("ff_prior"), dtype)
+            p.ff_prior_w, p.ff_prior_b = init_affine(
+                d, 2 * d_z, rng.fork("ff_prior"), dtype
+            )
         return p
 
     @property
@@ -255,6 +257,20 @@ class LatentHierarchy:
     levels: list = field(default_factory=list)
 
 
+@dataclass
+class Noise:
+    """Every random draw of one pass, for B sets padded to n_max elements.
+
+    `assign` (B, n_max) holds each initial element's mixture component,
+    `z0_eps` (B, n_max, d0) its standard normal noise, and `levels` one
+    (B, m_l, d_z) standard normal array per bottleneck level.
+    """
+
+    assign: np.ndarray
+    z0_eps: np.ndarray
+    levels: list
+
+
 def gaussian_kl_elems(mu_q, sigma_q, mu_p, sigma_p) -> Tensor:
     """Elementwise KL(N(mu_q, sigma_q) || N(mu_p, sigma_p)), diagonal."""
     for s in (sigma_q, sigma_p):
@@ -286,38 +302,33 @@ def _split_stats(stats: Tensor, d_z: int) -> tuple[Tensor, Tensor]:
 def abl_step(
     x_in: Tensor,
     p: ABLParams,
-    mode: str,
+    eps: np.ndarray,
     h_enc: Tensor | None = None,
-    rng: T.Rng | None = None,
-    temperature: float = 1.0,
     mask: np.ndarray | None = None,
-    eps: np.ndarray | None = None,
     z_override: np.ndarray | None = None,
 ) -> ABLStep:
-    """One bottleneck level: project, sample the latent, broadcast back."""
-    if mode not in ("generate", "infer"):
-        raise ConfigError(f"unknown abl mode '{mode}'")
+    """One bottleneck level of a batch x_in (B, n, d): project, sample the
+    latent z = mu + sigma * eps, broadcast back.
+
+    Given the encoder's projection `h_enc`, z comes from the posterior
+    and the step carries its KL to the prior; otherwise from the prior.
+    """
     d_z = p.ff_z_w.shape[0]
-    I = p.ind.I
-    batched = x_in.ndim == 3
-    if batched:
-        I = T.expand_batch(I, x_in.shape[0])
-    h = mab(I, x_in, p.p_proj, key_mask=mask, projection_mode="slot")
+    B = x_in.shape[0]
+    h = mab(T.expand_batch(p.ind.I, B), x_in, p.p_proj, key_mask=mask,
+            projection_mode="slot")
 
     if p.prior_mu is not None:
         mu, logsig = p.prior_mu, T.clamp(p.prior_logsig, LOGSIG_LO, LOGSIG_HI)
-        if batched:
-            mu = T.expand_batch(mu, x_in.shape[0])
-            logsig = T.expand_batch(logsig, x_in.shape[0])
+        mu, logsig = T.expand_batch(mu, B), T.expand_batch(logsig, B)
     else:
         stats = T.affine(h, p.ff_prior_w, p.ff_prior_b)
         mu, logsig = _split_stats(stats, d_z)
     sigma = T.exp(logsig)
 
     kl = None
-    if mode == "infer":
-        if h_enc is None:
-            raise ConfigError("infer mode requires h_enc")
+    mu_s, sigma_s = mu, sigma
+    if h_enc is not None:
         if h_enc.shape[-2] != p.m:
             raise T.ShapeError(
                 f"h_enc has {h_enc.shape[-2]} rows but level has m={p.m}"
@@ -325,13 +336,10 @@ def abl_step(
         delta = T.affine(T.add(h, h_enc), p.ff_post_w, p.ff_post_b)
         dmu, dlogsig = _split_stats(delta, d_z)
         dsigma = T.exp(dlogsig)
-        mu_q = T.add(mu, dmu)
-        sigma_q = T.mul(sigma, dsigma)
-        elems = gaussian_kl_elems(mu_q, sigma_q, mu, sigma)
+        mu_s = T.add(mu, dmu)
+        sigma_s = T.mul(sigma, dsigma)
+        elems = gaussian_kl_elems(mu_s, sigma_s, mu, sigma)
         kl = T.reduce_sum(T.reduce_sum(elems, -1), -1)
-        mu_s, sigma_s = mu_q, sigma_q
-    else:
-        mu_s, sigma_s = mu, sigma
 
     if z_override is not None:
         z = T.as_tensor(
@@ -340,13 +348,7 @@ def abl_step(
             ).copy()
         )
     else:
-        if eps is None:
-            if rng is None:
-                raise ValueError("abl_step needs an rng when eps is not given")
-            eps = rng.normal(mu_s.shape, dtype=mu_s.dtype)
-        eps = np.broadcast_to(np.asarray(eps, dtype=mu_s.dtype.type), mu_s.shape)
-        noise = T.mask_mul(sigma_s, eps * float(temperature))
-        z = T.add(mu_s, noise)
+        z = T.add(mu_s, T.mask_mul(sigma_s, eps))
 
     x_out = mab(x_in, T.affine(z, p.ff_z_w, p.ff_z_b), p.p_broad)
     return ABLStep(x_out, z, mu, kl)
@@ -359,7 +361,7 @@ class SetVAE:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         d, h = cfg.d, cfg.heads
-        self.enc_in_w, self.enc_in_b = _affine(
+        self.enc_in_w, self.enc_in_b = init_affine(
             cfg.out_dim, d, rng.fork("enc_in"), dtype
         )
         self.enc_levels = []
@@ -376,7 +378,7 @@ class SetVAE:
                 )
             )
         self.mog = MoGPrior.init(cfg.K, cfg.d0, rng.fork("mog"), dtype)
-        self.gen_in_w, self.gen_in_b = _affine(cfg.d0, d, rng.fork("gen_in"), dtype)
+        self.gen_in_w, self.gen_in_b = init_affine(cfg.d0, d, rng.fork("gen_in"), dtype)
         self.abls = [
             ABLParams.init(
                 m, d, cfg.d_z, h, rng.fork("abl", l), unconditional=(l == 0),
@@ -384,7 +386,7 @@ class SetVAE:
             )
             for l, m in enumerate(cfg.gen_m)
         ]
-        self.out_w, self.out_b = _affine(d, cfg.out_dim, rng.fork("out"), dtype)
+        self.out_w, self.out_b = init_affine(d, cfg.out_dim, rng.fork("out"), dtype)
         self.card_dist: CardinalityDist | None = None
 
     def params(self) -> dict[str, Tensor]:
@@ -413,11 +415,9 @@ class SetVAE:
         cur = T.affine(x.elems, self.enc_in_w, self.enc_in_b)
         hs, xins = [], []
         for ind, p_proj, p_broad in self.enc_levels:
-            I = ind.I
-            if cur.ndim == 3:
-                I = T.expand_batch(I, cur.shape[0])
             xins.append(cur)
-            h = mab(I, cur, p_proj, key_mask=x.mask, projection_mode="slot")
+            h = mab(T.expand_batch(ind.I, x.size), cur, p_proj, key_mask=x.mask,
+                    projection_mode="slot")
             if p_broad is not None:
                 cur = mab(cur, h, p_broad)
             hs.append(h)
@@ -428,49 +428,55 @@ class SetVAE:
         return self._encode_trace(x)[0]
 
     # ------------------------------------------------------------------
-    # Initial set
+    # Noise and the initial set
     # ------------------------------------------------------------------
 
-    def sample_initial_set(
-        self,
-        cards: list[int],
-        rng: T.Rng | None = None,
-        assignments: np.ndarray | None = None,
-        eps: np.ndarray | None = None,
-    ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """Padded initial sets (B, n_max, d0) plus component assignments.
+    def draw_noise(self, cards: list[int], rng: T.Rng) -> Noise:
+        """Every random draw of a pass over sets of the given cardinalities.
 
-        Elements are i.i.d.: component k ~ Categorical(softmax(logits)),
-        then z = mu_k + sigma_k * eps, reparameterized so mu/sigma learn.
+        The only reader of an Rng in the forward pass: components from
+        rng/z0/assign, initial-element noise from rng/z0/eps, and level
+        l's latent noise from rng/lvl/l.
         """
-        B, n_max = len(cards), max(cards)
+        cards = [int(n) for n in cards]
         if min(cards) < 1:
             raise ValueError("cardinalities must be positive")
-        if rng is None and (assignments is None or eps is None):
-            raise ValueError("sample_initial_set needs an rng or frozen draws")
-        if assignments is None:
-            assignments = rng.fork("assign").categorical(
-                self.mog.weights(), B * n_max
-            ).reshape(B, n_max)
-        if eps is None:
-            eps = rng.fork("eps").normal((B, n_max, self.cfg.d0), self.dtype)
-        eps = np.asarray(eps, dtype=self.dtype.type)
+        B, n_max = len(cards), max(cards)
+        z0 = rng.fork("z0")
+        assign = z0.fork("assign").categorical(self.mog.weights(), B * n_max)
+        return Noise(
+            assign.reshape(B, n_max),
+            z0.fork("eps").normal((B, n_max, self.cfg.d0), self.dtype),
+            [
+                rng.fork("lvl", l).normal((B, abl.m, self.cfg.d_z), self.dtype)
+                for l, abl in enumerate(self.abls)
+            ],
+        )
+
+    def sample_initial_set(
+        self, cards: list[int], noise: Noise
+    ) -> tuple[Tensor, np.ndarray]:
+        """Padded initial sets (B, n_max, d0) and their (B, n_max) mask.
+
+        Elements are i.i.d.: component k = noise.assign, then
+        z = mu_k + sigma_k * noise.z0_eps, reparameterized so mu/sigma learn.
+        """
+        B, n_max = len(cards), max(cards)
         mask = np.zeros((B, n_max), dtype=bool)
         for b, n in enumerate(cards):
             mask[b, :n] = True
 
         onehot = np.zeros((B, n_max, self.cfg.K), dtype=self.dtype.type)
         valid = np.where(mask)
-        onehot[valid[0], valid[1], assignments[mask]] = 1.0
+        onehot[valid[0], valid[1], noise.assign[mask]] = 1.0
         sel = T.as_tensor(onehot)
         mu = T.matmul(sel, T.expand_batch(self.mog.mu, B))
         logsig = T.matmul(sel, T.expand_batch(self.mog.logsig, B))
         # no clamp here: log sigma is a direct parameter, not an FF output,
         # and the sigma -> 0 limit must reach the component means
         sigma = T.exp(logsig)
-        z0 = T.add(mu, T.mask_mul(sigma, eps * mask[:, :, None]))
-        z0 = T.mask_mul(z0, mask[:, :, None])
-        return z0, assignments, mask
+        z0 = T.add(mu, T.mask_mul(sigma, noise.z0_eps * mask[:, :, None]))
+        return T.mask_mul(z0, mask[:, :, None]), mask
 
     # ------------------------------------------------------------------
     # Top-down pass shared by generation and inference
@@ -478,29 +484,24 @@ class SetVAE:
 
     def _top_down(
         self,
-        z0: Tensor,
-        mask: np.ndarray,
-        mode: str,
-        h_encs: list[Tensor] | None,
-        rng: T.Rng | None,
-        temperature: float,
-        level_eps: list | None,
-        latents: LatentHierarchy,
+        cards: list[int],
+        noise: Noise,
+        level_eps: list,
+        h_encs: list[Tensor] | None = None,
         fixed_z: list | None = None,
-    ) -> tuple[Tensor, list[Tensor]]:
+    ) -> tuple[SetBatch, list[Tensor], LatentHierarchy]:
+        z0, mask = self.sample_initial_set(cards, noise)
+        latents = LatentHierarchy(z0.data, noise.assign)
         cur = T.affine(z0, self.gen_in_w, self.gen_in_b)
         kls = []
         for l, abl in enumerate(self.abls):
             h_enc = None
-            if mode == "infer":
+            if h_encs is not None:
                 h_enc = h_encs[len(h_encs) - 1 - l]
                 if abl.m == 1 and h_enc.shape[-2] != 1:
                     h_enc = T.reduce_mean(h_enc, -2, keepdims=True)
-            eps = level_eps[l] if level_eps is not None else None
             step = abl_step(
-                cur, abl, mode, h_enc=h_enc,
-                rng=rng.fork("lvl", l) if rng is not None else None,
-                temperature=temperature, mask=mask, eps=eps,
+                cur, abl, level_eps[l], h_enc=h_enc, mask=mask,
                 z_override=None if fixed_z is None else fixed_z[l],
             )
             # only what is read: `z` by `sample --fix-latents`, `x_in` by
@@ -513,7 +514,7 @@ class SetVAE:
         if self.cfg.out_activation == "tanh01":
             one = T.as_tensor(np.ones(self.cfg.out_dim, dtype=out.dtype))
             out = T.scale(T.add_row(T.tanh(out), one), 0.5)
-        return out, kls
+        return SetBatch(out, mask, [int(n) for n in cards]), kls, latents
 
     # ------------------------------------------------------------------
     # Public directions
@@ -522,58 +523,29 @@ class SetVAE:
     def generate(
         self,
         cards: list[int],
-        rng: T.Rng | None = None,
+        noise: Noise,
         temperature: float = 1.0,
-        z0: Tensor | np.ndarray | None = None,
-        level_eps: list | None = None,
         fixed_z: list | None = None,
     ) -> tuple[SetBatch, LatentHierarchy]:
         """Sample sets of the requested cardinalities from the prior.
 
-        `fixed_z` pins the per-level latents to given values (the
-        initial set is still sampled), `level_eps` pins only the noise.
+        The temperature scales every level's latent noise; `fixed_z` pins
+        the per-level latents to given values (the initial set still
+        follows `noise`).
         """
         if not math.isfinite(temperature):
             raise ValueError(f"temperature must be finite, got {temperature}")
-        cards = [int(n) for n in cards]
-        mask = np.zeros((len(cards), max(cards)), dtype=bool)
-        for b, n in enumerate(cards):
-            mask[b, :n] = True
-        if z0 is None:
-            z0_t, assign, mask = self.sample_initial_set(cards, rng=rng.fork("z0"))
-        else:
-            z0_t = T.as_tensor(np.asarray(z0, dtype=self.dtype.type))
-            if z0_t.ndim == 2:
-                z0_t = T.Tensor(z0_t.data[None])
-            assign = np.zeros(mask.shape, dtype=np.int64)
-        latents = LatentHierarchy(z0_t.data.copy(), assign)
-        out, _ = self._top_down(
-            z0_t, mask, "generate", None, rng, temperature, level_eps, latents,
-            fixed_z=fixed_z,
+        t = float(temperature)
+        out, _, latents = self._top_down(
+            cards, noise, [eps * t for eps in noise.levels], fixed_z=fixed_z
         )
-        return SetBatch(out, mask, cards), latents
+        return out, latents
 
     def infer(
-        self,
-        x: SetBatch,
-        rng: T.Rng | None = None,
-        z0_assignments: np.ndarray | None = None,
-        z0_eps: np.ndarray | None = None,
-        level_eps: list | None = None,
+        self, x: SetBatch, noise: Noise
     ) -> tuple[SetBatch, list[Tensor], LatentHierarchy]:
         """Reconstruct x; returns per-set KL (B,) for every level."""
-        h_encs = self.encode(x)
-        z0_t, assign, _ = self.sample_initial_set(
-            x.cards,
-            rng=rng.fork("z0") if rng is not None else None,
-            assignments=z0_assignments,
-            eps=z0_eps,
-        )
-        latents = LatentHierarchy(z0_t.data.copy(), assign)
-        out, kls = self._top_down(
-            z0_t, x.mask, "infer", h_encs, rng, 1.0, level_eps, latents
-        )
-        return SetBatch(out, x.mask, list(x.cards)), kls, latents
+        return self._top_down(x.cards, noise, noise.levels, h_encs=self.encode(x))
 
     def attn_assignments(
         self,
@@ -588,7 +560,8 @@ class SetVAE:
         Returns (ids, coords), both (B, n_max[, dim]): input coordinates
         for the encoder side, reconstructed coordinates for the generator
         side (whose elements track the top-down stream, not the input).
-        Ties break toward the lowest id.
+        Ties break toward the lowest id. `rng` draws the generator side's
+        noise; the encoder side draws none.
         """
         if side == "encoder":
             if not 0 <= level < len(self.enc_levels):
@@ -604,18 +577,16 @@ class SetVAE:
                 raise ValueError(
                     f"generator level {level} out of range [0, {len(self.abls)})"
                 )
-            x_hat, _, lat = self.infer(x, rng)
+            x_hat, _, lat = self.infer(x, self.draw_noise(x.cards, rng))
             abl = self.abls[level]
             ind, p_proj = abl.ind, abl.p_proj
             x_in = T.as_tensor(lat.levels[level]["x_in"])
             coords = x_hat.elems.data
         else:
             raise ValueError(f"unknown side '{side}', expected encoder or generator")
-        I = ind.I
-        if x_in.ndim == 3:
-            I = T.expand_batch(I, x_in.shape[0])
         w = multihead_head_weights(
-            I, x_in, p_proj, head, key_mask=x.mask, mode="slot"
+            T.expand_batch(ind.I, x.size), x_in, p_proj, head, key_mask=x.mask,
+            mode="slot",
         )
         return np.argmax(w.data, axis=-2), coords
 

@@ -363,12 +363,6 @@ def add_row(x: Tensor, row: Tensor) -> Tensor:
     return _make(out, (x, row), vjp)
 
 
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.maximum(x.data, 0.0)
-    return _make(out, (x,), lambda g: (g * (x.data > 0),))
-
-
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     out = np.tanh(x.data)
@@ -590,13 +584,6 @@ def sum_all(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out = x.data.sum()
     return _make(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    n = x.size
-    out = x.data.mean()
-    return _make(out, (x,), lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
 
 
 # ---------------------------------------------------------------------------

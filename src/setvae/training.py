@@ -138,8 +138,8 @@ def train(
 
                 beta = beta_schedule(g, cfg.anneal_steps, cfg.beta_max)
                 lr = lr_schedule(g, total, cfg.lr, cfg.lr_decay_start)
-                noise = T.Rng(cfg.seed, "noise", g)
-                x_hat, kls, _ = model.infer(batch, noise)
+                rng = T.Rng(cfg.seed, "noise", g)
+                x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
                 loss, recon, kl_sum = model.elbo_loss(batch, x_hat, kls, beta)
                 if not np.isfinite(loss.data):
                     raise TrainingAborted(

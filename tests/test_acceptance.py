@@ -23,7 +23,7 @@ from setvae.attention import multihead_head_weights, slot_attention_parts
 from setvae.data import Dataset, batch_pad, gen_synthetic, load_jsonl, save_jsonl
 from setvae.metrics import chamfer, hungarian, emd, report
 from setvae.model import CardinalityDist, ModelConfig, SetVAE
-from setvae.model import abl_step, initial_set_kl_constant
+from setvae.model import Noise, abl_step, initial_set_kl_constant
 from setvae.training import parse_log_line
 from test_metrics import exact_chamfer_oracle, np_perm_cost
 
@@ -58,16 +58,12 @@ def test_criterion_equivariance_suite():
         )
         model = SetVAE(cfg, rng.fork("model"))
         abl = model.abls[0]
-        xa = rng.fork("xa").normal((n, d))
-        eps = rng.fork("eps").normal((abl.m, cfg.d_z))
-        abl0 = abl_step(T.Tensor(xa), abl, "generate", eps=eps)
+        xa = rng.fork("xa").normal((1, n, d))
+        eps = rng.fork("eps").normal((1, abl.m, cfg.d_z))
+        abl0 = abl_step(T.Tensor(xa), abl, eps)
 
-        z0 = rng.fork("z0").normal((1, n, cfg.d0))
-        leps = [
-            rng.fork("leps", l).normal((1, mm, cfg.d_z))
-            for l, mm in enumerate(cfg.gen_m)
-        ]
-        gen0, _ = model.generate([n], z0=z0, level_eps=leps)
+        noise = model.draw_noise([n], rng.fork("noise"))
+        gen0, _ = model.generate([n], noise)
 
         for t in range(20):
             perm = rng.fork("perm", t).permutation(n)
@@ -75,11 +71,14 @@ def test_criterion_equivariance_suite():
             assert np.max(np.abs(h_p.data - h0.data)) < tol  # invariant
             assert np.max(np.abs(out_p.data - out0.data[perm])) < tol
 
-            abl_p = abl_step(T.Tensor(xa[perm]), abl, "generate", eps=eps)
+            abl_p = abl_step(T.Tensor(xa[:, perm]), abl, eps)
             assert np.max(np.abs(abl_p.z.data - abl0.z.data)) < tol
-            assert np.max(np.abs(abl_p.x_out.data - abl0.x_out.data[perm])) < tol
+            assert np.max(np.abs(abl_p.x_out.data - abl0.x_out.data[:, perm])) < tol
 
-            gen_p, _ = model.generate([n], z0=z0[:, perm], level_eps=leps)
+            permuted = Noise(
+                noise.assign[:, perm], noise.z0_eps[:, perm], noise.levels
+            )
+            gen_p, _ = model.generate([n], permuted)
             assert (
                 np.max(np.abs(gen_p.elems.data - gen0.elems.data[:, perm])) < tol
             )
@@ -113,9 +112,6 @@ def op_sweep_cases():
          lambda r: [r.standard_normal((3, 4)), r.standard_normal((3, 4)) + 3.0]),
         ("scale", lambda x: T.scale(x, -1.7), [(3, 4)], None),
         ("add_row", T.add_row, [(3, 4), (4,)], None),
-        ("relu", T.relu, [(3, 4)],
-         lambda r: [np.where(np.abs(a := r.standard_normal((3, 4))) < 0.1,
-                             a + 0.5, a)]),
         ("tanh", T.tanh, [(3, 4)], None),
         ("exp", T.exp, [(3, 4)], None),
         ("log", T.log, [(3, 4)],
@@ -138,7 +134,6 @@ def op_sweep_cases():
         ("reduce_mean", lambda x: T.reduce_mean(x, 0), [(3, 5)], None),
         ("reduce_min", lambda x: T.reduce_min(x, 1)[0], [(3, 5)], None),
         ("sum_all", T.sum_all, [(3, 5)], None),
-        ("mean_all", T.mean_all, [(3, 5)], None),
     ]
 
 
@@ -166,11 +161,11 @@ def test_criterion_gradient_suite():
         T.Rng(9, "lvl", l).normal((2, m, cfg.d_z))
         for l, m in enumerate(cfg.gen_m)
     ]
+    # one set of draws for every evaluation: a bumped logit moves no component
+    noise = Noise(assign, z0_eps, leps)
 
     def loss_and_model():
-        x_hat, kls, _ = model.infer(
-            x, z0_assignments=assign, z0_eps=z0_eps, level_eps=leps
-        )
+        x_hat, kls, _ = model.infer(x, noise)
         return model.elbo_loss(x, x_hat, kls, beta=0.5)[0]
 
     T.backward(loss_and_model())

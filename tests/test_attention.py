@@ -15,7 +15,6 @@ from setvae.attention import (
     multihead,
     multihead_head_weights,
     slot_attention_parts,
-    slot_attention_weights,
 )
 
 
@@ -143,10 +142,10 @@ def test_slot_weights_single_slot_uniform():
     rng = np.random.default_rng(33)
     q = T.as_tensor(rng.standard_normal((1, 4)))
     k = T.as_tensor(rng.standard_normal((5, 4)))
-    w = slot_attention_weights(q, k)
+    w = slot_attention_parts(q, k)[1]
     assert np.max(np.abs(w.data - 0.2)) < 1e-12
     mask = np.array([True, True, False, True, False])
-    w = slot_attention_weights(q, k, key_mask=mask)
+    w = slot_attention_parts(q, k, key_mask=mask)[1]
     assert np.allclose(w.data[0], [1 / 3, 1 / 3, 0, 1 / 3, 0], atol=1e-12)
 
 

@@ -120,6 +120,10 @@ def _drop_adam_v(model, tensors, opt):
     del opt[f"adam/v/{next(iter(model.params()))}"]
 
 
+def _misshape_adam_m(model, tensors, opt):
+    opt[f"adam/m/{next(iter(model.params()))}"] = np.zeros((3, 3), np.float32)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -128,12 +132,15 @@ def _drop_adam_v(model, tensors, opt):
         (_set("meta/pn_counts", [3.0, 1.0, 2.0]), "2 sizes but 3 counts"),
         (_set("meta/pn_support", [4.5, 7.0]), "'meta/pn_support' entry 0"),
         (_set("meta/pn_counts", [3.0, -1.0]), "'meta/pn_counts' entry 1"),
+        (_set("meta/pn_support", [4.0, 4.0]), "repeats a size"),
         (_drop_adam_v, "lacks m or v"),
+        (_misshape_adam_m, "has shapes \\(3, 3\\)"),
         (_set("train/step", [2.5]), "'train/step' entry 0"),
         (_set("adam/step", [2.0, 3.0]), "'adam/step' has 2 entries"),
     ],
     ids=["support_without_counts", "counts_without_support", "length_mismatch",
-         "fractional_size", "negative_count", "adam_m_without_v",
+         "fractional_size", "negative_count", "repeated_size",
+         "adam_m_without_v", "adam_m_shape",
          "fractional_step", "adam_step_length"],
 )
 def test_malformed_metadata_rejected(tmp_path, corrupt, message):

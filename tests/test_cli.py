@@ -184,6 +184,18 @@ def test_sample_rejects_non_finite_temperature(workspace, tmp_path, temperature)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sample_rejects_nonpositive_n(workspace, tmp_path, n):
+    out = tmp_path / "empty.jsonl"
+    res = run_cli(
+        "sample", "--ckpt", workspace["ckpt"], "--num-samples", 2,
+        "--n", n, "--out", out,
+    )
+    assert res.returncode == 1
+    assert res.stderr == "error: cardinalities must be positive\n"
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------

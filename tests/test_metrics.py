@@ -15,7 +15,6 @@ from setvae.metrics import (
     hungarian,
     mmd,
     one_nna,
-    optimal_matching_sq,
     pairwise_dists,
     report,
 )
@@ -135,7 +134,6 @@ def test_emd_hand_values():
     a = np.array([[0.0, 0.0]])
     b = np.array([[3.0, 4.0]])
     assert emd(a, b) == 5.0
-    assert optimal_matching_sq(a, b) == 25.0
 
 
 def test_emd_zero_on_permuted_copy():

@@ -16,6 +16,7 @@ from setvae.model import (
     CardinalityDist,
     ModelConfig,
     MoGPrior,
+    Noise,
     SetVAE,
     abl_step,
     gaussian_kl,
@@ -163,7 +164,8 @@ def test_initial_set_single_component_mean():
         T.Tensor(np.zeros((1, 1)), requires_grad=True),
         T.Tensor(np.zeros((1, 1)), requires_grad=True),
     )
-    z0, _, _ = model.sample_initial_set([100_000], rng=T.Rng(3, "draws"))
+    noise = model.draw_noise([100_000], T.Rng(3, "draws"))
+    z0, _ = model.sample_initial_set([100_000], noise)
     assert abs(z0.data.mean()) < 0.02
 
 
@@ -174,8 +176,8 @@ def test_initial_set_degenerate_weights():
         T.Tensor(np.array([[1.0], [-1.0]]), requires_grad=True),
         T.Tensor(np.zeros((2, 1)), requires_grad=True),
     )
-    _, assign, _ = model.sample_initial_set([10_000], rng=T.Rng(4, "draws"))
-    assert np.all(assign == 0)
+    noise = model.draw_noise([10_000], T.Rng(4, "draws"))
+    assert np.all(noise.assign == 0)
 
 
 def test_initial_set_sigma_zero_limit():
@@ -185,14 +187,16 @@ def test_initial_set_sigma_zero_limit():
         T.Tensor(np.array([[1.0, 2.0], [-3.0, 0.5]]), requires_grad=True),
         T.Tensor(np.full((2, 2), -20.0), requires_grad=True),
     )
-    z0, assign, mask = model.sample_initial_set([10_000], rng=T.Rng(6, "draws"))
-    means = model.mog.mu.data[assign[0]]
+    noise = model.draw_noise([10_000], T.Rng(6, "draws"))
+    z0, _ = model.sample_initial_set([10_000], noise)
+    means = model.mog.mu.data[noise.assign[0]]
     assert np.max(np.abs(z0.data[0] - means)) < 1e-8
 
 
 def test_initial_set_padding_and_grads():
     model = SetVAE(small_config(), T.Rng(2, "init"))
-    z0, assign, mask = model.sample_initial_set([3, 5], rng=T.Rng(7, "draws"))
+    noise = model.draw_noise([3, 5], T.Rng(7, "draws"))
+    z0, mask = model.sample_initial_set([3, 5], noise)
     assert z0.shape == (2, 5, model.cfg.d0)
     assert mask.tolist() == [[True] * 3 + [False] * 2, [True] * 5]
     assert np.all(z0.data[0, 3:] == 0.0)
@@ -201,10 +205,23 @@ def test_initial_set_padding_and_grads():
     assert model.mog.logsig.grad is not None
 
 
-def test_initial_set_requires_rng_or_draws():
-    model = SetVAE(small_config(), T.Rng(2, "init"))
-    with pytest.raises(ValueError):
-        model.sample_initial_set([4])
+def test_draw_noise_paths():
+    model = SetVAE(small_config(K=3), T.Rng(2, "init"))
+    model.mog.logits.data = np.array([0.5, -1.0, 2.0])
+    rng = T.Rng(11, "pass")
+    noise = model.draw_noise([3, 5], rng)
+    assign = rng.fork("z0").fork("assign").categorical(model.mog.weights(), 10)
+    assert np.array_equal(noise.assign, assign.reshape(2, 5))
+    assert np.array_equal(
+        noise.z0_eps, rng.fork("z0").fork("eps").normal((2, 5, model.cfg.d0))
+    )
+    assert len(noise.levels) == len(model.abls)
+    for l, m in enumerate(model.cfg.gen_m):
+        expect = rng.fork("lvl", l).normal((2, m, model.cfg.d_z))
+        assert np.array_equal(noise.levels[l], expect)
+    for cards in ([0], [3, -1]):
+        with pytest.raises(ValueError, match="cardinalities must be positive"):
+            model.draw_noise(cards, rng)
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +239,8 @@ def test_abl_zeroed_posterior_matches_prior():
     h_enc = T.Tensor(rng.fork("enc").normal((1, abl.m, model.cfg.d)))
     eps = rng.fork("eps").normal((1, abl.m, model.cfg.d_z))
 
-    inf = abl_step(x_in, abl, "infer", h_enc=h_enc, eps=eps)
-    gen = abl_step(x_in, abl, "generate", eps=eps)
+    inf = abl_step(x_in, abl, eps, h_enc=h_enc)
+    gen = abl_step(x_in, abl, eps)
     assert np.all(inf.kl.data == 0.0)
     assert np.array_equal(inf.z.data, gen.z.data)
     assert np.array_equal(inf.x_out.data, gen.x_out.data)
@@ -233,8 +250,10 @@ def test_abl_temperature_zero_is_deterministic():
     model = SetVAE(small_config(), T.Rng(9, "init"))
     abl = model.abls[0]
     x_in = T.Tensor(T.Rng(1, "x").normal((1, 5, model.cfg.d)))
-    a = abl_step(x_in, abl, "generate", rng=T.Rng(10, "a"), temperature=0.0)
-    b = abl_step(x_in, abl, "generate", rng=T.Rng(99, "b"), temperature=0.0)
+    shape = (1, abl.m, model.cfg.d_z)
+    # generate scales the drawn noise by the temperature before the level
+    a = abl_step(x_in, abl, T.Rng(10, "a").normal(shape) * 0.0)
+    b = abl_step(x_in, abl, T.Rng(99, "b").normal(shape) * 0.0)
     assert np.array_equal(a.z.data, b.z.data)
     assert np.array_equal(a.z.data, np.broadcast_to(a.mu.data, a.z.shape))
 
@@ -244,25 +263,22 @@ def test_abl_infer_checks_h_enc_rows():
     abl = model.abls[1]
     x_in = T.Tensor(T.Rng(1, "x").normal((1, 5, model.cfg.d)))
     bad = T.Tensor(np.zeros((1, abl.m + 1, model.cfg.d)))
+    eps = T.Rng(0, "e").normal((1, abl.m, model.cfg.d_z))
     with pytest.raises(ShapeError):
-        abl_step(x_in, abl, "infer", h_enc=bad, rng=T.Rng(0, "e"))
-    with pytest.raises(ConfigError):
-        abl_step(x_in, abl, "infer", rng=T.Rng(0, "e"))
-    with pytest.raises(ConfigError):
-        abl_step(x_in, abl, "nonsense", rng=T.Rng(0, "e"))
+        abl_step(x_in, abl, eps, h_enc=bad)
 
 
 def test_abl_equivariance():
     model = SetVAE(small_config(), T.Rng(9, "init"))
     abl = model.abls[0]
     rng = T.Rng(1, "x")
-    x = rng.normal((7, model.cfg.d))
-    eps = rng.fork("eps").normal((abl.m, model.cfg.d_z))
-    base = abl_step(T.Tensor(x), abl, "generate", eps=eps)
+    x = rng.normal((1, 7, model.cfg.d))
+    eps = rng.fork("eps").normal((1, abl.m, model.cfg.d_z))
+    base = abl_step(T.Tensor(x), abl, eps)
     for i in range(5):
         perm = T.Rng(20, "perm", i).permutation(7)
-        out = abl_step(T.Tensor(x[perm]), abl, "generate", eps=eps)
-        assert np.max(np.abs(out.x_out.data - base.x_out.data[perm])) < 1e-10
+        out = abl_step(T.Tensor(x[:, perm]), abl, eps)
+        assert np.max(np.abs(out.x_out.data - base.x_out.data[:, perm])) < 1e-10
         assert np.max(np.abs(out.z.data - base.z.data)) < 1e-10
 
 
@@ -298,10 +314,10 @@ def test_encode_distinguishes_sets():
 
 def test_generate_cardinalities():
     model = SetVAE(small_config(), T.Rng(3, "init"))
-    out, lat = model.generate([137], rng=T.Rng(5, "gen"))
+    out, lat = model.generate([137], model.draw_noise([137], T.Rng(5, "gen")))
     assert out.elems.shape == (1, 137, 2)
     assert out.mask.all() and out.cards == [137]
-    out2, _ = model.generate([5, 9], rng=T.Rng(5, "gen"))
+    out2, _ = model.generate([5, 9], model.draw_noise([5, 9], T.Rng(5, "gen")))
     assert out2.elems.shape == (2, 9, 2)
     assert out2.mask.sum() == 14
     assert len(lat.levels) == 2
@@ -309,32 +325,37 @@ def test_generate_cardinalities():
 
 def test_generate_temperature_zero_repeatable():
     model = SetVAE(small_config(), T.Rng(3, "init"))
-    a, _ = model.generate([12], rng=T.Rng(5, "gen"), temperature=0.0)
-    b, _ = model.generate([12], rng=T.Rng(5, "gen"), temperature=0.0)
+    noise = model.draw_noise([12], T.Rng(5, "gen"))
+    other = model.draw_noise([12], T.Rng(99, "other"))
+    a, _ = model.generate([12], noise, temperature=0.0)
+    # at temperature 0 the level noise has no effect
+    b, _ = model.generate(
+        [12], Noise(noise.assign, noise.z0_eps, other.levels), temperature=0.0
+    )
     assert np.array_equal(a.elems.data, b.elems.data)
 
 
 def test_generate_exchangeable_under_z0_permutation():
     model = SetVAE(small_config(), T.Rng(3, "init"))
     n = 9
-    z0 = T.Rng(4, "z0").normal((1, n, model.cfg.d0))
-    eps = [
-        T.Rng(4, "lvl", l).normal((1, m, model.cfg.d_z))
-        for l, m in enumerate(model.cfg.gen_m)
-    ]
-    base, _ = model.generate([n], z0=z0, level_eps=eps)
+    noise = model.draw_noise([n], T.Rng(4, "gen"))
+    base, _ = model.generate([n], noise)
     for i in range(5):
         perm = T.Rng(40, "perm", i).permutation(n)
-        out, _ = model.generate([n], z0=z0[:, perm], level_eps=eps)
+        permuted = Noise(noise.assign[:, perm], noise.z0_eps[:, perm], noise.levels)
+        out, _ = model.generate([n], permuted)
         assert np.max(np.abs(out.elems.data - base.elems.data[:, perm])) < 1e-10
 
 
 def test_generate_fixed_z_reproduces_levels():
     model = SetVAE(small_config(), T.Rng(3, "init"))
-    first, lat = model.generate([8], rng=T.Rng(6, "gen"))
+    noise = model.draw_noise([8], T.Rng(6, "gen"))
+    first, lat = model.generate([8], noise)
     fixed = [lvl["z"] for lvl in lat.levels]
+    # the initial set follows the same draws, the level noise does not
+    other = model.draw_noise([8], T.Rng(999, "other"))
     again, lat2 = model.generate(
-        [8], rng=T.Rng(999, "other"), z0=lat.z0, fixed_z=fixed
+        [8], Noise(noise.assign, noise.z0_eps, other.levels), fixed_z=fixed
     )
     assert np.array_equal(again.elems.data, first.elems.data)
     for a, b in zip(lat.levels, lat2.levels):
@@ -348,7 +369,7 @@ def test_generate_fixed_z_reproduces_levels():
 def test_infer_kl_contract():
     model = SetVAE(small_config(), T.Rng(3, "init"))
     x = batch_from([T.Rng(1, "a").normal((6, 2)), T.Rng(2, "b").normal((4, 2))])
-    x_hat, kls, lat = model.infer(x, rng=T.Rng(7, "inf"))
+    x_hat, kls, lat = model.infer(x, model.draw_noise(x.cards, T.Rng(7, "inf")))
     assert x_hat.elems.shape == x.elems.shape
     assert x_hat.cards == x.cards
     assert len(kls) == 2
@@ -366,13 +387,10 @@ def test_infer_kl_permutation_invariant():
         T.Rng(2, "lvl", l).normal((1, m, model.cfg.d_z))
         for l, m in enumerate(model.cfg.gen_m)
     ]
-    _, base, _ = model.infer(
-        batch_from([pts]), z0_assignments=assign, z0_eps=eps0, level_eps=eps
-    )
+    noise = Noise(assign, eps0, eps)
+    _, base, _ = model.infer(batch_from([pts]), noise)
     perm = T.Rng(3, "perm").permutation(6)
-    _, kls, _ = model.infer(
-        batch_from([pts[perm]]), z0_assignments=assign, z0_eps=eps0, level_eps=eps
-    )
+    _, kls, _ = model.infer(batch_from([pts[perm]]), noise)
     for a, b in zip(base, kls):
         assert np.max(np.abs(a.data - b.data)) < 1e-9
 
@@ -380,7 +398,7 @@ def test_infer_kl_permutation_invariant():
 def test_elbo_identities():
     model = SetVAE(small_config(), T.Rng(3, "init"))
     x = batch_from([T.Rng(1, "a").normal((5, 2)), T.Rng(2, "b").normal((3, 2))])
-    x_hat, kls, _ = model.infer(x, rng=T.Rng(7, "inf"))
+    x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(7, "inf")))
 
     total, recon, kl_sum = model.elbo_loss(x, x_hat, kls, beta=0.25)
     expect = float(recon.data) + 0.25 * float(kl_sum.data)
@@ -399,7 +417,7 @@ def test_elbo_identities():
 def test_elbo_gradients_reach_every_trained_parameter():
     model = SetVAE(small_config(), T.Rng(3, "init"))
     x = batch_from([T.Rng(1, "a").normal((5, 2))])
-    x_hat, kls, _ = model.infer(x, rng=T.Rng(7, "inf"))
+    x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(7, "inf")))
     total, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.5)
     T.backward(total)
     missing = [
@@ -424,12 +442,12 @@ def test_tape_node_budget():
     ]
     x = batch_pad(sets, dtype=cfg.np_dtype)
     assert x.size == 16 and 32 <= min(x.cards) and max(x.cards) <= 64
-    x_hat, kls, _ = model.infer(x, T.Rng(0, "noise", 0))
+    x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "noise", 0)))
     loss, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.005)
     # half of what one narrow/matmul/softmax chain per head builds
     # (1191 nodes per step, 522 per set)
     assert tape_nodes(loss) <= 595
-    out, _ = model.generate([48], T.Rng(0, "gen"))
+    out, _ = model.generate([48], model.draw_noise([48], T.Rng(0, "gen")))
     assert tape_nodes(out.elems) <= 261
 
 
@@ -467,7 +485,8 @@ def test_vanilla_single_slot_levels_train():
     state = T.AdamState()
     first = last = None
     for step in range(25):
-        x_hat, kls, _ = model.infer(x, rng=T.Rng(6, "noise", step))
+        noise = model.draw_noise(x.cards, T.Rng(6, "noise", step))
+        x_hat, kls, _ = model.infer(x, noise)
         total, recon, _ = model.elbo_loss(x, x_hat, kls, beta=0.01)
         assert np.isfinite(total.data)
         if first is None:
