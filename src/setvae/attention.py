@@ -10,9 +10,12 @@ The building blocks, bottom to top:
   back before the output projection.
 - ``mab``: attention + residual on the query + layer norm + affine
   feed-forward + second residual + layer norm.
-- ``isab``: two MABs routed through m learned inducing points. The inner
-  projection ``h = mab(I, x)`` is invariant to permutations of x, the
-  outer broadcast ``mab(x, h)`` is equivariant.
+- ``project``: the slot-mode MAB ``h = mab(I, x)`` that projects a set
+  onto m learned inducing points; invariant to permutations of x. Every
+  encoder level and every bottleneck level projects through it.
+- ``isab``: one encoder level, ``project`` then the broadcast
+  ``mab(x, h)`` back to the elements, which is equivariant. The deepest
+  encoder level has no broadcast block and returns x unchanged.
 
 All ops accept a single set (n, d) or a padded batch (B, n, d) with a
 boolean key mask marking valid elements.
@@ -42,6 +45,7 @@ class SetBatch:
     cards: list[int]
 
     def __post_init__(self):
+        self.elems = T.as_tensor(self.elems)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.elems.shape[:2] != self.mask.shape:
             raise T.ShapeError(
@@ -248,17 +252,25 @@ def mab(
     return T.layer_norm(T.add(a, ff), p.ln2_g, p.ln2_b)
 
 
+def project(
+    x: Tensor, inducing: InducingPoints, p: AttentionParams, mask=None
+) -> Tensor:
+    """h = MAB(I, x) in slot projection mode, I tiled over a batch x."""
+    I = inducing.I
+    if x.ndim == 3:
+        I = T.expand_batch(I, x.shape[0])
+    return mab(I, x, p, key_mask=mask, projection_mode="slot")
+
+
 def isab(
     x: Tensor,
     inducing: InducingPoints,
     p_proj: AttentionParams,
-    p_broad: AttentionParams,
+    p_broad: AttentionParams | None,
     mask=None,
 ) -> tuple[Tensor, Tensor]:
-    """ISAB(x) = (MAB(x, h), h) with h = MAB(I, x) in slot projection mode."""
-    I = inducing.I
-    if x.ndim == 3:
-        I = T.expand_batch(I, x.shape[0])
-    h = mab(I, x, p_proj, key_mask=mask, projection_mode="slot")
-    out = mab(x, h, p_broad)
-    return out, h
+    """ISAB(x) = (MAB(x, h), h) with h = project(x); (x, h) without p_broad."""
+    h = project(x, inducing, p_proj, mask=mask)
+    if p_broad is None:
+        return x, h
+    return mab(x, h, p_broad), h

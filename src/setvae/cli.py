@@ -82,16 +82,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _batches(ds, model, seed, tag):
+    """(start, chunk, batch, rng) per chunk of RECONSTRUCT_BATCH sets; the
+    chunk's noise comes from Rng(seed, tag, start)."""
+    for start in range(0, len(ds), RECONSTRUCT_BATCH):
+        chunk = ds.sets[start : start + RECONSTRUCT_BATCH]
+        batch = batch_pad(chunk, dtype=model.dtype)
+        yield start, chunk, batch, T.Rng(seed, tag, start)
+
+
 def cmd_reconstruct(args) -> int:
     model, _, _ = load_model(args.ckpt)
     ds = load_jsonl(args.data)
     csv_path = args.out + ".metrics.csv"
     recons = []
     rows = []
-    for start in range(0, len(ds), RECONSTRUCT_BATCH):
-        chunk = ds.sets[start : start + RECONSTRUCT_BATCH]
-        batch = batch_pad(chunk, dtype=model.dtype)
-        rng = T.Rng(args.seed, "reconstruct", start)
+    for start, chunk, batch, rng in _batches(ds, model, args.seed, "reconstruct"):
         x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
         outs = unpad(x_hat)
         for b, (x, xh) in enumerate(zip(chunk, outs)):
@@ -113,23 +119,23 @@ def cmd_attn_export(args) -> int:
     model, _, _ = load_model(args.ckpt)
     ds = load_jsonl(args.data)
     coord_cols = ["px", "py"] + (["pz"] if ds.dim == 3 else [])
+    rows = []
+    for start, _, batch, rng in _batches(ds, model, args.seed, "attn"):
+        ids, coords = model.attn_assignments(
+            batch, args.level, args.side, head=args.head, rng=rng
+        )
+        for b, n in enumerate(batch.cards):
+            for j in range(n):
+                rows.append(
+                    [start + b]
+                    + [repr(float(v)) for v in coords[b, j]]
+                    + [int(ids[b, j])]
+                )
+    # every row exists before the file does, so a failure leaves no file
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["set_id"] + coord_cols + ["assignment"])
-        for start in range(0, len(ds), RECONSTRUCT_BATCH):
-            chunk = ds.sets[start : start + RECONSTRUCT_BATCH]
-            batch = batch_pad(chunk, dtype=model.dtype)
-            rng = T.Rng(args.seed, "attn", start)
-            ids, coords = model.attn_assignments(
-                batch, args.level, args.side, head=args.head, rng=rng
-            )
-            for b, n in enumerate(batch.cards):
-                for j in range(n):
-                    w.writerow(
-                        [start + b]
-                        + [repr(float(v)) for v in coords[b, j]]
-                        + [int(ids[b, j])]
-                    )
+        w.writerows(rows)
     print(f"wrote assignments to {args.out}")
     return 0
 

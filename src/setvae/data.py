@@ -157,12 +157,11 @@ def batch_pad(sets: list, dtype=np.float64) -> SetBatch:
     for b, s in enumerate(sets):
         elems[b, : len(s)] = s
         mask[b, : len(s)] = True
-    return SetBatch(T.as_tensor(elems), mask, cards)
+    return SetBatch(elems, mask, cards)
 
 
 def unpad(batch: SetBatch) -> list:
-    data = batch.elems.data if isinstance(batch.elems, T.Tensor) else batch.elems
-    return [np.array(data[b, :n]) for b, n in enumerate(batch.cards)]
+    return [np.array(batch.elems.data[b, :n]) for b, n in enumerate(batch.cards)]
 
 
 def cardinality_histogram(ds: Dataset) -> CardinalityDist:

@@ -37,8 +37,10 @@ from .attention import (
     InducingPoints,
     SetBatch,
     init_affine,
+    isab,
     mab,
     multihead_head_weights,
+    project,
 )
 from .tensor import Tensor
 
@@ -243,7 +245,6 @@ class ABLStep:
 
     x_out: Tensor
     z: Tensor
-    mu: Tensor
     kl: Tensor | None = None
 
 
@@ -315,8 +316,7 @@ def abl_step(
     """
     d_z = p.ff_z_w.shape[0]
     B = x_in.shape[0]
-    h = mab(T.expand_batch(p.ind.I, B), x_in, p.p_proj, key_mask=mask,
-            projection_mode="slot")
+    h = project(x_in, p.ind, p.p_proj, mask=mask)
 
     if p.prior_mu is not None:
         mu, logsig = p.prior_mu, T.clamp(p.prior_logsig, LOGSIG_LO, LOGSIG_HI)
@@ -351,7 +351,7 @@ def abl_step(
         z = T.add(mu_s, T.mask_mul(sigma_s, eps))
 
     x_out = mab(x_in, T.affine(z, p.ff_z_w, p.ff_z_b), p.p_broad)
-    return ABLStep(x_out, z, mu, kl)
+    return ABLStep(x_out, z, kl)
 
 
 class SetVAE:
@@ -416,10 +416,7 @@ class SetVAE:
         hs, xins = [], []
         for ind, p_proj, p_broad in self.enc_levels:
             xins.append(cur)
-            h = mab(T.expand_batch(ind.I, x.size), cur, p_proj, key_mask=x.mask,
-                    projection_mode="slot")
-            if p_broad is not None:
-                cur = mab(cur, h, p_broad)
+            cur, h = isab(cur, ind, p_proj, p_broad, mask=x.mask)
             hs.append(h)
         return hs, xins
 
@@ -536,9 +533,16 @@ class SetVAE:
         if not math.isfinite(temperature):
             raise ValueError(f"temperature must be finite, got {temperature}")
         t = float(temperature)
-        out, _, latents = self._top_down(
-            cards, noise, [eps * t for eps in noise.levels], fixed_z=fixed_z
-        )
+        try:
+            # a large finite temperature overflows into NaN points
+            with np.errstate(over="raise", invalid="raise"):
+                out, _, latents = self._top_down(
+                    cards, noise, [eps * t for eps in noise.levels], fixed_z=fixed_z
+                )
+        except FloatingPointError as e:
+            raise ValueError(
+                f"temperature {t!r} gives non-finite points ({e})"
+            ) from None
         return out, latents
 
     def infer(
@@ -622,7 +626,7 @@ def masked_chamfer(x_hat: Tensor, x: SetBatch) -> Tensor:
     distances with a large constant before each min and zeroing their
     contributions before each sum.
     """
-    ref = x.elems if isinstance(x.elems, Tensor) else T.as_tensor(x.elems)
+    ref = x.elems
     sq_r = T.reduce_sum(T.mul(ref, ref), -1)
     sq_g = T.reduce_sum(T.mul(x_hat, x_hat), -1)
     cross = T.matmul(ref, T.transpose(x_hat))

@@ -107,7 +107,6 @@ def train(
     params = model.params()
     per_epoch = math.ceil(len(ds) / cfg.batch_size)
     total = total_step_count(cfg, len(ds))
-    epochs = math.ceil(total / per_epoch)
 
     log_path = os.path.join(out_dir, "train_log.txt")
     final_path = os.path.join(out_dir, "final.svae")
@@ -121,61 +120,51 @@ def train(
     done = start_step
     with open(log_path, "w", encoding="utf-8") as log:
         log.writelines(kept)
-        for epoch in range(epochs):
-            if done >= total:
-                break
-            if (epoch + 1) * per_epoch <= start_step:
-                continue  # resume: this epoch finished in the earlier run
-            order = T.Rng(cfg.seed, "shuffle", epoch).permutation(len(ds))
-            for b in range(per_epoch):
-                g = epoch * per_epoch + b  # 0-based index of this step
-                if g >= total:
-                    break
-                if g < start_step:
-                    continue
-                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                batch = batch_pad([ds.sets[i] for i in idx], dtype=dtype)
+        for g in range(start_step, total):  # g: 0-based index of this step
+            epoch, b = divmod(g, per_epoch)
+            if b == 0 or g == start_step:
+                order = T.Rng(cfg.seed, "shuffle", epoch).permutation(len(ds))
+            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            batch = batch_pad([ds.sets[i] for i in idx], dtype=dtype)
 
-                beta = beta_schedule(g, cfg.anneal_steps, cfg.beta_max)
-                lr = lr_schedule(g, total, cfg.lr, cfg.lr_decay_start)
-                rng = T.Rng(cfg.seed, "noise", g)
-                x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
-                loss, recon, kl_sum = model.elbo_loss(batch, x_hat, kls, beta)
-                if not np.isfinite(loss.data):
-                    raise TrainingAborted(
-                        f"non-finite loss at step {g + 1}; "
-                        f"last checkpoint kept in {out_dir}"
-                    )
-                loss.backward()
-                grads = {
-                    k: p.grad for k, p in params.items() if p.grad is not None
-                }
-                T.clip_grads(grads, cfg.grad_clip)
-                try:
-                    T.adam_step(
-                        params, grads, opt, lr,
-                        beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                    )
-                except FloatingPointError as e:
-                    raise TrainingAborted(
-                        f"{e} at step {g + 1}; last checkpoint kept in {out_dir}"
-                    ) from None
-                T.zero_grads(params)
-
-                done = g + 1
-                line = format_log_line(
-                    done, float(recon.data), float(kl_sum.data), beta, lr
+            beta = beta_schedule(g, cfg.anneal_steps, cfg.beta_max)
+            lr = lr_schedule(g, total, cfg.lr, cfg.lr_decay_start)
+            rng = T.Rng(cfg.seed, "noise", g)
+            x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
+            loss, recon, kl_sum = model.elbo_loss(batch, x_hat, kls, beta)
+            if not np.isfinite(loss.data):
+                raise TrainingAborted(
+                    f"non-finite loss at step {g + 1}; "
+                    f"last checkpoint kept in {out_dir}"
                 )
-                log.write(line + "\n")
-                if log_fn is not None:
-                    log_fn(line)
+            loss.backward()
+            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+            T.clip_grads(grads, cfg.grad_clip)
+            try:
+                T.adam_step(
+                    params, grads, opt, lr,
+                    beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
+                )
+            except FloatingPointError as e:
+                raise TrainingAborted(
+                    f"{e} at step {g + 1}; last checkpoint kept in {out_dir}"
+                ) from None
+            T.zero_grads(params)
 
-                if done % cfg.ckpt_interval == 0 and done < total:
-                    log.flush()  # the log on disk covers every checkpoint
-                    save_model(
-                        os.path.join(out_dir, f"ckpt_{done:06d}.svae"),
-                        model, opt, done,
-                    )
+            done = g + 1
+            line = format_log_line(
+                done, float(recon.data), float(kl_sum.data), beta, lr
+            )
+            log.write(line + "\n")
+            if log_fn is not None:
+                log_fn(line)
+
+            if done % cfg.ckpt_interval == 0 and done < total:
+                log.flush()  # the log on disk covers every checkpoint
+                save_model(
+                    os.path.join(out_dir, f"ckpt_{done:06d}.svae"),
+                    model, opt, done,
+                )
         log.flush()
     save_model(final_path, model, opt, done)
     return final_path

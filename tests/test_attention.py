@@ -261,6 +261,9 @@ def test_setbatch_invariant_checked():
         SetBatch(elems, np.array([[True, False, True]]), [2])
     sb = SetBatch(elems, np.array([[True, True, False]]), [2])
     assert sb.size == 1 and sb.n_max == 3
+    # an array is stored as a Tensor, so readers need no type check
+    sb = SetBatch(np.zeros((1, 3, 2)), np.array([[True, True, False]]), [2])
+    assert isinstance(sb.elems, T.Tensor) and sb.elems.shape == (1, 3, 2)
 
 
 def test_attention_gradients_flow():

@@ -171,15 +171,26 @@ def test_sample_requires_n_without_stored_distribution(tmp_path):
     assert "pass --n" in res.stderr
 
 
-@pytest.mark.parametrize("temperature", ["nan", "inf"])
-def test_sample_rejects_non_finite_temperature(workspace, tmp_path, temperature):
+@pytest.mark.parametrize(
+    "temperature, message",
+    [
+        ("nan", "error: temperature must be finite"),
+        ("inf", "error: temperature must be finite"),
+        # finite, but the scaled noise overflows into NaN points
+        ("1e308", "error: temperature 1e+308 gives non-finite points"),
+    ],
+    ids=["nan", "inf", "1e308"],
+)
+def test_sample_rejects_non_finite_temperature(
+    workspace, tmp_path, temperature, message
+):
     out = tmp_path / "hot.jsonl"
     res = run_cli(
         "sample", "--ckpt", workspace["ckpt"], "--num-samples", 2,
         "--temperature", temperature, "--out", out,
     )
     assert res.returncode == 1
-    assert res.stderr.startswith("error: temperature must be finite")
+    assert res.stderr.startswith(message)
     assert len(res.stderr.strip().splitlines()) == 1
     assert not out.exists()
 
@@ -312,14 +323,17 @@ def test_attn_export_generator_side(workspace, tmp_path):
 
 
 def test_attn_export_level_out_of_range(workspace, tmp_path):
-    res = run_cli(
-        "attn-export", "--ckpt", workspace["ckpt"], "--data",
-        workspace["data"], "--level", 9, "--side", "encoder",
-        "--out", tmp_path / "x.csv",
-    )
-    assert res.returncode == 1
-    assert res.stderr.startswith("error:")
-    assert "out of range" in res.stderr
+    out = tmp_path / "x.csv"
+    for bad in (["--level", 9, "--side", "encoder"],
+                ["--level", 0, "--side", "generator", "--head", 9]):
+        res = run_cli(
+            "attn-export", "--ckpt", workspace["ckpt"], "--data",
+            workspace["data"], *bad, "--out", out,
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")
+        assert "out of range" in res.stderr
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------

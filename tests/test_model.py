@@ -255,7 +255,7 @@ def test_abl_temperature_zero_is_deterministic():
     a = abl_step(x_in, abl, T.Rng(10, "a").normal(shape) * 0.0)
     b = abl_step(x_in, abl, T.Rng(99, "b").normal(shape) * 0.0)
     assert np.array_equal(a.z.data, b.z.data)
-    assert np.array_equal(a.z.data, np.broadcast_to(a.mu.data, a.z.shape))
+    assert np.array_equal(a.z.data, np.broadcast_to(abl.prior_mu.data, a.z.shape))
 
 
 def test_abl_infer_checks_h_enc_rows():

@@ -116,20 +116,24 @@ def test_train_is_deterministic(tmp_path):
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
-    cfg = toy_config()
+    # 24 sets in batches of 6 make 4-step epochs: the checkpoint at step 5
+    # resumes mid-epoch, the one at step 8 on an epoch boundary
+    cfg = toy_config(ckpt_interval=1)
     ds = toy_dataset()
     straight = train(cfg, ds, tmp_path / "full")
-
-    resumed = train(
-        cfg, ds, tmp_path / "resumed",
-        resume=str(tmp_path / "full" / "ckpt_000005.svae"),
-    )
-    assert open(straight, "rb").read() == open(resumed, "rb").read()
-
-    lines = (tmp_path / "resumed" / "train_log.txt").read_text().splitlines()
-    assert [parse_log_line(l)["step"] for l in lines] == [6, 7, 8, 9, 10]
     full_log = (tmp_path / "full" / "train_log.txt").read_bytes()
-    assert full_log.decode().splitlines()[5:] == lines
+
+    for step in (5, 8):
+        resumed = train(
+            cfg, ds, tmp_path / f"resumed{step}",
+            resume=str(tmp_path / "full" / f"ckpt_{step:06d}.svae"),
+        )
+        assert open(straight, "rb").read() == open(resumed, "rb").read()
+
+        log = tmp_path / f"resumed{step}" / "train_log.txt"
+        lines = log.read_text().splitlines()
+        assert [parse_log_line(l)["step"] for l in lines] == list(range(step + 1, 11))
+        assert full_log.decode().splitlines()[step:] == lines
 
     # resuming into the run's own directory replaces the replayed steps
     straight_bytes = open(straight, "rb").read()
