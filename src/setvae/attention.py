@@ -11,11 +11,15 @@ The building blocks, bottom to top:
 - ``mab``: attention + residual on the query + layer norm + affine
   feed-forward + second residual + layer norm.
 - ``project``: the slot-mode MAB ``h = mab(I, x)`` that projects a set
-  onto m learned inducing points; invariant to permutations of x. Every
-  encoder level and every bottleneck level projects through it.
+  onto the m learned inducing points of the tensor ``I`` (m, d);
+  invariant to permutations of x. Every encoder level and every
+  bottleneck level projects through it.
 - ``isab``: one encoder level, ``project`` then the broadcast
   ``mab(x, h)`` back to the elements, which is equivariant. The deepest
   encoder level has no broadcast block and returns x unchanged.
+- ``ISAB``: the weights of one such block, ``(I, proj, broad)``. Encoder
+  levels are ISABs, and every bottleneck level holds the same three
+  fields, built by the same ``ISAB.init``.
 
 All ops accept a single set (n, d) or a padded batch (B, n, d) with a
 boolean key mask marking valid elements.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,34 +118,25 @@ class AttentionParams:
             heads,
         )
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for field in (
-            "W_q", "b_q", "W_k", "b_k", "W_v", "b_v", "W_o", "b_o",
-            "ff_w", "ff_b", "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-        ):
-            out[f"{prefix}/{field}"] = getattr(self, field)
-        return out
 
-
-@dataclass
-class InducingPoints:
-    """m learned seed vectors that queries project a set onto."""
+class ISAB(NamedTuple):
+    """One induced set attention block: m learned inducing points `I`
+    (m, d), the projection MAB `proj` and the broadcast MAB `broad`
+    (None where the projection h is all the level feeds onward)."""
 
     I: Tensor
+    proj: AttentionParams
+    broad: AttentionParams | None
 
     @staticmethod
-    def init(m: int, d: int, rng: T.Rng, dtype=np.float64) -> "InducingPoints":
-        if m < 1:
-            raise ConfigError(f"inducing count must be >= 1, got {m}")
-        return InducingPoints(T.Tensor(rng.normal((m, d), dtype), requires_grad=True))
-
-    @property
-    def m(self) -> int:
-        return self.I.shape[0]
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}/I": self.I}
+    def init(
+        m: int, d: int, heads: int, rng: T.Rng, broad: bool, dtype=np.float64
+    ) -> "ISAB":
+        return ISAB(
+            T.parameter(rng.fork("I").normal((m, d), dtype), "I"),
+            AttentionParams.init(d, heads, rng.fork("proj"), dtype),
+            AttentionParams.init(d, heads, rng.fork("broad"), dtype) if broad else None,
+        )
 
 
 def _key_mask_for_scores(key_mask, scores_ndim: int):
@@ -252,11 +248,8 @@ def mab(
     return T.layer_norm(T.add(a, ff), p.ln2_g, p.ln2_b)
 
 
-def project(
-    x: Tensor, inducing: InducingPoints, p: AttentionParams, mask=None
-) -> Tensor:
+def project(x: Tensor, I: Tensor, p: AttentionParams, mask=None) -> Tensor:
     """h = MAB(I, x) in slot projection mode, I tiled over a batch x."""
-    I = inducing.I
     if x.ndim == 3:
         I = T.expand_batch(I, x.shape[0])
     return mab(I, x, p, key_mask=mask, projection_mode="slot")
@@ -264,13 +257,13 @@ def project(
 
 def isab(
     x: Tensor,
-    inducing: InducingPoints,
+    I: Tensor,
     p_proj: AttentionParams,
     p_broad: AttentionParams | None,
     mask=None,
 ) -> tuple[Tensor, Tensor]:
     """ISAB(x) = (MAB(x, h), h) with h = project(x); (x, h) without p_broad."""
-    h = project(x, inducing, p_proj, mask=mask)
+    h = project(x, I, p_proj, mask=mask)
     if p_broad is None:
         return x, h
     return mab(x, h, p_broad), h

@@ -123,7 +123,11 @@ def load_jsonl(path) -> Dataset:
                 points = rec["points"]
                 if not isinstance(points, list) or not points:
                     raise ValueError("empty or non-list points")
-                arr = np.array(points, dtype=np.float64)
+                arr = np.array(points)
+                # JSON strings and booleans would convert silently
+                if arr.dtype.kind not in "iuf":
+                    raise ValueError(f"coordinates must be numbers, got {arr.dtype}")
+                arr = arr.astype(np.float64, copy=False)
                 if arr.ndim != 2 or arr.shape[1] not in (2, 3):
                     raise ValueError(f"points must be (n, 2|3), got {arr.shape}")
                 if not np.all(np.isfinite(arr)):

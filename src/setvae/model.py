@@ -26,15 +26,16 @@ beta-weighted sum of per-level KL terms.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .attention import (
+    ISAB,
     AttentionParams,
     ConfigError,
-    InducingPoints,
     SetBatch,
     init_affine,
     isab,
@@ -128,13 +129,6 @@ class MoGPrior:
         e = np.exp(lg - lg.max())
         return e / e.sum()
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}/logits": self.logits,
-            f"{prefix}/mu": self.mu,
-            f"{prefix}/logsig": self.logsig,
-        }
-
 
 class CardinalityDist:
     """Empirical distribution of set cardinalities."""
@@ -173,7 +167,8 @@ def initial_set_kl_constant(dist: CardinalityDist, n: int) -> float:
 
 @dataclass
 class ABLParams:
-    """One attentive bottleneck level.
+    """One attentive bottleneck level: an ISAB's fields (I, proj, broad)
+    with the latent between its two MABs.
 
     ff_prior maps the projection h to the prior (mu, log sigma) and is
     shared between generation and inference; the first level has no
@@ -182,9 +177,9 @@ class ABLParams:
     used only in inference.
     """
 
-    ind: InducingPoints
-    p_proj: AttentionParams
-    p_broad: AttentionParams
+    I: Tensor
+    proj: AttentionParams
+    broad: AttentionParams
     ff_z_w: Tensor
     ff_z_b: Tensor
     ff_post_w: Tensor
@@ -202,9 +197,7 @@ class ABLParams:
         ff_z_w, ff_z_b = init_affine(d_z, d, rng.fork("ff_z"), dtype)
         ff_post_w, ff_post_b = init_affine(d, 2 * d_z, rng.fork("ff_post"), dtype)
         p = ABLParams(
-            InducingPoints.init(m, d, rng.fork("I"), dtype),
-            AttentionParams.init(d, heads, rng.fork("proj"), dtype),
-            AttentionParams.init(d, heads, rng.fork("broad"), dtype),
+            *ISAB.init(m, d, heads, rng, broad=True, dtype=dtype),
             ff_z_w, ff_z_b, ff_post_w, ff_post_b,
         )
         if unconditional:
@@ -220,23 +213,7 @@ class ABLParams:
 
     @property
     def m(self) -> int:
-        return self.ind.m
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = self.ind.named(prefix)
-        out.update(self.p_proj.named(f"{prefix}/proj"))
-        out.update(self.p_broad.named(f"{prefix}/broad"))
-        out[f"{prefix}/ff_z_w"] = self.ff_z_w
-        out[f"{prefix}/ff_z_b"] = self.ff_z_b
-        out[f"{prefix}/ff_post_w"] = self.ff_post_w
-        out[f"{prefix}/ff_post_b"] = self.ff_post_b
-        if self.prior_mu is not None:
-            out[f"{prefix}/prior_mu"] = self.prior_mu
-            out[f"{prefix}/prior_logsig"] = self.prior_logsig
-        else:
-            out[f"{prefix}/ff_prior_w"] = self.ff_prior_w
-            out[f"{prefix}/ff_prior_b"] = self.ff_prior_b
-        return out
+        return self.I.shape[0]
 
 
 @dataclass
@@ -270,6 +247,22 @@ class Noise:
     assign: np.ndarray
     z0_eps: np.ndarray
     levels: list
+
+
+class NonFiniteError(ValueError):
+    """A forward pass overflowed into non-finite values."""
+
+
+@contextmanager
+def _finite_pass(what: str = "the input sets overflow the model"):
+    """Run a forward pass with numpy overflow and invalid operations
+    raising NonFiniteError("<what> (<numpy's message>)"): unguarded, they
+    only warn, and infinities are normalized into finite but wrong values."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NonFiniteError(f"{what} ({e})") from None
 
 
 def gaussian_kl_elems(mu_q, sigma_q, mu_p, sigma_p) -> Tensor:
@@ -316,7 +309,7 @@ def abl_step(
     """
     d_z = p.ff_z_w.shape[0]
     B = x_in.shape[0]
-    h = project(x_in, p.ind, p.p_proj, mask=mask)
+    h = project(x_in, p.I, p.proj, mask=mask)
 
     if p.prior_mu is not None:
         mu, logsig = p.prior_mu, T.clamp(p.prior_logsig, LOGSIG_LO, LOGSIG_HI)
@@ -350,7 +343,7 @@ def abl_step(
     else:
         z = T.add(mu_s, T.mask_mul(sigma_s, eps))
 
-    x_out = mab(x_in, T.affine(z, p.ff_z_w, p.ff_z_b), p.p_broad)
+    x_out = mab(x_in, T.affine(z, p.ff_z_w, p.ff_z_b), p.broad)
     return ABLStep(x_out, z, kl)
 
 
@@ -364,19 +357,14 @@ class SetVAE:
         self.enc_in_w, self.enc_in_b = init_affine(
             cfg.out_dim, d, rng.fork("enc_in"), dtype
         )
-        self.enc_levels = []
-        for l, m in enumerate(cfg.enc_m):
-            lr = rng.fork("enc", l)
-            # the deepest level only feeds its projection h onward, so it
-            # gets no broadcast block (that output would be unused)
-            last = l == len(cfg.enc_m) - 1
-            self.enc_levels.append(
-                (
-                    InducingPoints.init(m, d, lr.fork("I"), dtype),
-                    AttentionParams.init(d, h, lr.fork("proj"), dtype),
-                    None if last else AttentionParams.init(d, h, lr.fork("broad"), dtype),
-                )
+        # the deepest level only feeds its projection h onward, so it gets
+        # no broadcast block (that output would be unused)
+        self.enc_levels = [
+            ISAB.init(
+                m, d, h, rng.fork("enc", l), broad=l < len(cfg.enc_m) - 1, dtype=dtype
             )
+            for l, m in enumerate(cfg.enc_m)
+        ]
         self.mog = MoGPrior.init(cfg.K, cfg.d0, rng.fork("mog"), dtype)
         self.gen_in_w, self.gen_in_b = init_affine(cfg.d0, d, rng.fork("gen_in"), dtype)
         self.abls = [
@@ -390,17 +378,16 @@ class SetVAE:
         self.card_dist: CardinalityDist | None = None
 
     def params(self) -> dict[str, Tensor]:
+        """Every trained tensor, keyed by its field path (`enc0/proj/W_q`);
+        the order and the names are the checkpoint's."""
         out = {"enc_in/w": self.enc_in_w, "enc_in/b": self.enc_in_b}
-        for l, (ind, p_proj, p_broad) in enumerate(self.enc_levels):
-            out.update(ind.named(f"enc{l}"))
-            out.update(p_proj.named(f"enc{l}/proj"))
-            if p_broad is not None:
-                out.update(p_broad.named(f"enc{l}/broad"))
-        out.update(self.mog.named("mog"))
+        for l, level in enumerate(self.enc_levels):
+            out.update(T.named_params(level, f"enc{l}"))
+        out.update(T.named_params(self.mog, "mog"))
         out["gen_in/w"] = self.gen_in_w
         out["gen_in/b"] = self.gen_in_b
         for l, abl in enumerate(self.abls):
-            out.update(abl.named(f"abl{l}"))
+            out.update(T.named_params(abl, f"abl{l}"))
         out["out/w"] = self.out_w
         out["out/b"] = self.out_b
         return out
@@ -414,9 +401,9 @@ class SetVAE:
             raise ValueError("cannot encode an empty set")
         cur = T.affine(x.elems, self.enc_in_w, self.enc_in_b)
         hs, xins = [], []
-        for ind, p_proj, p_broad in self.enc_levels:
+        for level in self.enc_levels:
             xins.append(cur)
-            cur, h = isab(cur, ind, p_proj, p_broad, mask=x.mask)
+            cur, h = isab(cur, level.I, level.proj, level.broad, mask=x.mask)
             hs.append(h)
         return hs, xins
 
@@ -533,23 +520,19 @@ class SetVAE:
         if not math.isfinite(temperature):
             raise ValueError(f"temperature must be finite, got {temperature}")
         t = float(temperature)
-        try:
-            # a large finite temperature overflows into NaN points
-            with np.errstate(over="raise", invalid="raise"):
-                out, _, latents = self._top_down(
-                    cards, noise, [eps * t for eps in noise.levels], fixed_z=fixed_z
-                )
-        except FloatingPointError as e:
-            raise ValueError(
-                f"temperature {t!r} gives non-finite points ({e})"
-            ) from None
+        # a large finite temperature overflows into NaN points
+        with _finite_pass(f"temperature {t!r} gives non-finite points"):
+            out, _, latents = self._top_down(
+                cards, noise, [eps * t for eps in noise.levels], fixed_z=fixed_z
+            )
         return out, latents
 
     def infer(
         self, x: SetBatch, noise: Noise
     ) -> tuple[SetBatch, list[Tensor], LatentHierarchy]:
         """Reconstruct x; returns per-set KL (B,) for every level."""
-        return self._top_down(x.cards, noise, noise.levels, h_encs=self.encode(x))
+        with _finite_pass():
+            return self._top_down(x.cards, noise, noise.levels, h_encs=self.encode(x))
 
     def attn_assignments(
         self,
@@ -567,31 +550,24 @@ class SetVAE:
         Ties break toward the lowest id. `rng` draws the generator side's
         noise; the encoder side draws none.
         """
-        if side == "encoder":
-            if not 0 <= level < len(self.enc_levels):
-                raise ValueError(
-                    f"encoder level {level} out of range [0, {len(self.enc_levels)})"
-                )
-            _, xins = self._encode_trace(x)
-            ind, p_proj, _ = self.enc_levels[level]
-            x_in = xins[level]
-            coords = x.elems.data
-        elif side == "generator":
-            if not 0 <= level < len(self.abls):
-                raise ValueError(
-                    f"generator level {level} out of range [0, {len(self.abls)})"
-                )
-            x_hat, _, lat = self.infer(x, self.draw_noise(x.cards, rng))
-            abl = self.abls[level]
-            ind, p_proj = abl.ind, abl.p_proj
-            x_in = T.as_tensor(lat.levels[level]["x_in"])
-            coords = x_hat.elems.data
-        else:
+        if side not in ("encoder", "generator"):
             raise ValueError(f"unknown side '{side}', expected encoder or generator")
-        w = multihead_head_weights(
-            T.expand_batch(ind.I, x.size), x_in, p_proj, head, key_mask=x.mask,
-            mode="slot",
-        )
+        levels = self.enc_levels if side == "encoder" else self.abls
+        if not 0 <= level < len(levels):
+            raise ValueError(f"{side} level {level} out of range [0, {len(levels)})")
+        block = levels[level]
+        with _finite_pass():
+            if side == "encoder":
+                x_in = self._encode_trace(x)[1][level]
+                coords = x.elems.data
+            else:
+                x_hat, _, lat = self.infer(x, self.draw_noise(x.cards, rng))
+                x_in = T.as_tensor(lat.levels[level]["x_in"])
+                coords = x_hat.elems.data
+            w = multihead_head_weights(
+                T.expand_batch(block.I, x.size), x_in, block.proj, head,
+                key_mask=x.mask, mode="slot",
+            )
         return np.argmax(w.data, axis=-2), coords
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ all leading axes of its two sides against each other (numpy rules), and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -134,6 +134,23 @@ def as_tensor(x) -> Tensor:
 
 def parameter(data, name: str) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True, name=name)
+
+
+def named_params(obj, prefix: str) -> dict[str, Tensor]:
+    """Every Tensor under a dataclass or NamedTuple, in field order, keyed by
+    its field path `prefix/field[/subfield]`. None and non-tensor fields
+    (such as a head count) are skipped. These keys are the checkpoint's
+    record names, so a new Tensor field is trained and saved as it stands.
+    """
+    if isinstance(obj, Tensor):
+        return {prefix: obj}
+    names = getattr(obj, "_fields", ())  # a NamedTuple's; () for None or an int
+    if is_dataclass(obj):
+        names = [f.name for f in fields(obj)]
+    out = {}
+    for name in names:
+        out.update(named_params(getattr(obj, name), f"{prefix}/{name}"))
+    return out
 
 
 def _tracked(*parents: Tensor) -> bool:

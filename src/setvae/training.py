@@ -13,12 +13,18 @@ checkpoint's step and drops the rest:
 with full-precision reprs and total computed as R + B*K in float64 from
 the logged values themselves, so a log parser can re-check the identity
 exactly.
+
+An interrupt (SIGINT) ends the run after the step in progress, with a
+checkpoint of that step to resume from.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,11 +32,12 @@ from . import tensor as T
 from .checkpoint import load_model, save_model
 from .config import TrainConfig
 from .data import Dataset, batch_pad, cardinality_histogram
-from .model import SetVAE
+from .model import NonFiniteError, SetVAE
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when the loss goes non-finite; the last checkpoint survives."""
+    """Raised when the run goes non-finite, or on an interrupt; the last
+    checkpoint survives."""
 
 
 def beta_schedule(step: int, anneal_steps: int, beta_max: float) -> float:
@@ -77,6 +84,20 @@ def parse_log_line(line: str) -> dict:
     return out
 
 
+@contextmanager
+def _interrupt_flag():
+    """A list that SIGINT appends to in place of raising KeyboardInterrupt,
+    on the main thread (the only one that may set a handler)."""
+    flag = []
+    main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGINT, lambda *_: flag.append(1)) if main else None
+    try:
+        yield flag
+    finally:
+        if main:
+            signal.signal(signal.SIGINT, previous)
+
+
 def train(
     cfg: TrainConfig,
     ds: Dataset,
@@ -118,7 +139,7 @@ def train(
             kept = [l for l in f
                     if l.endswith("\n") and parse_log_line(l)["step"] <= start_step]
     done = start_step
-    with open(log_path, "w", encoding="utf-8") as log:
+    with _interrupt_flag() as interrupted, open(log_path, "w", encoding="utf-8") as log:
         log.writelines(kept)
         for g in range(start_step, total):  # g: 0-based index of this step
             epoch, b = divmod(g, per_epoch)
@@ -130,22 +151,19 @@ def train(
             beta = beta_schedule(g, cfg.anneal_steps, cfg.beta_max)
             lr = lr_schedule(g, total, cfg.lr, cfg.lr_decay_start)
             rng = T.Rng(cfg.seed, "noise", g)
-            x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
-            loss, recon, kl_sum = model.elbo_loss(batch, x_hat, kls, beta)
-            if not np.isfinite(loss.data):
-                raise TrainingAborted(
-                    f"non-finite loss at step {g + 1}; "
-                    f"last checkpoint kept in {out_dir}"
-                )
-            loss.backward()
-            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            T.clip_grads(grads, cfg.grad_clip)
             try:
+                x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
+                loss, recon, kl_sum = model.elbo_loss(batch, x_hat, kls, beta)
+                if not np.isfinite(loss.data):
+                    raise FloatingPointError("non-finite loss")
+                loss.backward()
+                grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+                T.clip_grads(grads, cfg.grad_clip)
                 T.adam_step(
                     params, grads, opt, lr,
                     beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                 )
-            except FloatingPointError as e:
+            except (NonFiniteError, FloatingPointError) as e:
                 raise TrainingAborted(
                     f"{e} at step {g + 1}; last checkpoint kept in {out_dir}"
                 ) from None
@@ -159,11 +177,14 @@ def train(
             if log_fn is not None:
                 log_fn(line)
 
-            if done % cfg.ckpt_interval == 0 and done < total:
+            stop = bool(interrupted)  # read once: SIGINT may land in between
+            if stop or (done % cfg.ckpt_interval == 0 and done < total):
                 log.flush()  # the log on disk covers every checkpoint
-                save_model(
-                    os.path.join(out_dir, f"ckpt_{done:06d}.svae"),
-                    model, opt, done,
+                ckpt = os.path.join(out_dir, f"ckpt_{done:06d}.svae")
+                save_model(ckpt, model, opt, done)
+            if stop:
+                raise TrainingAborted(
+                    f"interrupted after step {done}; checkpoint kept in {ckpt}"
                 )
         log.flush()
     save_model(final_path, model, opt, done)

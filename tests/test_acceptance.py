@@ -18,7 +18,7 @@ import pytest
 
 import setvae.tensor as T
 from helpers import check_op_grad, rel_err
-from setvae.attention import AttentionParams, InducingPoints, isab
+from setvae.attention import AttentionParams, isab
 from setvae.attention import multihead_head_weights, slot_attention_parts
 from setvae.data import Dataset, batch_pad, gen_synthetic, load_jsonl, save_jsonl
 from setvae.metrics import chamfer, hungarian, emd, report
@@ -49,9 +49,9 @@ def test_criterion_equivariance_suite():
         rng = T.Rng(100 + init, "equi")
         p_proj = AttentionParams.init(d, heads, rng.fork("pp"))
         p_broad = AttentionParams.init(d, heads, rng.fork("pb"))
-        ind = InducingPoints.init(m, d, rng.fork("I"))
+        I = T.parameter(rng.fork("I").normal((m, d)), "I")
         x = rng.fork("x").normal((n, d))
-        out0, h0 = isab(T.Tensor(x), ind, p_proj, p_broad)
+        out0, h0 = isab(T.Tensor(x), I, p_proj, p_broad)
 
         cfg = ModelConfig(
             d=d, d_z=4, heads=heads, enc_m=(4, 2), gen_m=(2, 4), d0=8, K=2,
@@ -67,7 +67,7 @@ def test_criterion_equivariance_suite():
 
         for t in range(20):
             perm = rng.fork("perm", t).permutation(n)
-            out_p, h_p = isab(T.Tensor(x[perm]), ind, p_proj, p_broad)
+            out_p, h_p = isab(T.Tensor(x[perm]), I, p_proj, p_broad)
             assert np.max(np.abs(h_p.data - h0.data)) < tol  # invariant
             assert np.max(np.abs(out_p.data - out0.data[perm])) < tol
 
@@ -321,7 +321,7 @@ def test_criterion_slot_attention_normalization():
     x = T.Tensor(rng.fork("x").normal((n, d)))
     for heads in (1, 2, 4, 8):
         p = AttentionParams.init(d, heads, rng.fork("p", heads))
-        I = InducingPoints.init(m, d, rng.fork("i", heads)).I
+        I = T.parameter(rng.fork("i", heads).normal((m, d)), "I")
         for mask in masks:
             for h in range(heads):
                 W = multihead_head_weights(

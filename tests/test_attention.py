@@ -8,7 +8,6 @@ from setvae import tensor as T
 from setvae.attention import (
     AttentionParams,
     ConfigError,
-    InducingPoints,
     SetBatch,
     isab,
     mab,
@@ -99,7 +98,7 @@ def _grads(attend, q, kv, p, cot):
     """Gradients of <attend(q, kv, kv), cot> for q, kv and every parameter."""
     leaves = [T.parameter(q.copy(), "q"), T.parameter(kv.copy(), "kv")]
     T.sum_all(T.mul(attend(leaves[0], leaves[1], leaves[1]), cot)).backward()
-    params = p.named("p")
+    params = T.named_params(p, "p")
     grads = [l.grad for l in leaves] + [t.grad for t in params.values()]
     T.zero_grads(params)
     return grads
@@ -192,13 +191,13 @@ def test_isab_properties_across_heads_and_m():
             seed = 100 * heads + m
             p_proj = AttentionParams.init(d, heads, T.Rng(seed, "proj"))
             p_broad = AttentionParams.init(d, heads, T.Rng(seed, "broad"))
-            ind = InducingPoints.init(m, d, T.Rng(seed, "I"))
+            I = T.parameter(T.Rng(seed, "I").normal((m, d)), "I")
             x = rng.standard_normal((6, d))
-            out, h = isab(T.as_tensor(x), ind, p_proj, p_broad)
+            out, h = isab(T.as_tensor(x), I, p_proj, p_broad)
             assert out.shape == (6, d) and h.shape == (m, d)
             for _ in range(5):
                 perm = rng.permutation(6)
-                out_p, h_p = isab(T.as_tensor(x[perm]), ind, p_proj, p_broad)
+                out_p, h_p = isab(T.as_tensor(x[perm]), I, p_proj, p_broad)
                 assert np.max(np.abs(h_p.data - h.data)) < 1e-10
                 assert np.max(np.abs(out_p.data - out.data[perm])) < 1e-10
 
@@ -208,13 +207,13 @@ def test_isab_mask_equals_dropping_elements():
     d = 8
     p_proj = AttentionParams.init(d, 2, T.Rng(1, "proj"))
     p_broad = AttentionParams.init(d, 2, T.Rng(1, "broad"))
-    ind = InducingPoints.init(4, d, T.Rng(1, "I"))
+    I = T.parameter(T.Rng(1, "I").normal((4, d)), "I")
     x = rng.standard_normal((5, d))
     padded = np.zeros((7, d))
     padded[:5] = x
     mask = np.array([True] * 5 + [False] * 2)
-    out_m, h_m = isab(T.as_tensor(padded), ind, p_proj, p_broad, mask=mask)
-    out_d, h_d = isab(T.as_tensor(x), ind, p_proj, p_broad)
+    out_m, h_m = isab(T.as_tensor(padded), I, p_proj, p_broad, mask=mask)
+    out_d, h_d = isab(T.as_tensor(x), I, p_proj, p_broad)
     assert np.max(np.abs(h_m.data - h_d.data)) < 1e-10
     assert np.max(np.abs(out_m.data[:5] - out_d.data)) < 1e-10
 
@@ -224,12 +223,12 @@ def test_isab_padded_rows_get_zero_gradient():
     d = 8
     p_proj = AttentionParams.init(d, 2, T.Rng(2, "proj"))
     p_broad = AttentionParams.init(d, 2, T.Rng(2, "broad"))
-    ind = InducingPoints.init(3, d, T.Rng(2, "I"))
+    I = T.parameter(T.Rng(2, "I").normal((3, d)), "I")
     padded = np.zeros((6, d))
     padded[:4] = rng.standard_normal((4, d))
     mask = np.array([True] * 4 + [False] * 2)
     x = T.parameter(padded, "x")
-    out, _ = isab(x, ind, p_proj, p_broad, mask=mask)
+    out, _ = isab(x, I, p_proj, p_broad, mask=mask)
     valid = T.mask_mul(out, mask[:, None].astype(float))
     T.sum_all(T.mul(valid, valid)).backward()
     assert np.all(x.grad[4:] == 0.0)
@@ -241,16 +240,16 @@ def test_isab_batched_matches_per_set():
     d = 8
     p_proj = AttentionParams.init(d, 2, T.Rng(3, "proj"))
     p_broad = AttentionParams.init(d, 2, T.Rng(3, "broad"))
-    ind = InducingPoints.init(4, d, T.Rng(3, "I"))
+    I = T.parameter(T.Rng(3, "I").normal((4, d)), "I")
     sets = [rng.standard_normal((n, d)) for n in (3, 5)]
     padded = np.zeros((2, 5, d))
     mask = np.zeros((2, 5), dtype=bool)
     for b, s in enumerate(sets):
         padded[b, : len(s)] = s
         mask[b, : len(s)] = True
-    out_b, h_b = isab(T.as_tensor(padded), ind, p_proj, p_broad, mask=mask)
+    out_b, h_b = isab(T.as_tensor(padded), I, p_proj, p_broad, mask=mask)
     for b, s in enumerate(sets):
-        out_s, h_s = isab(T.as_tensor(s), ind, p_proj, p_broad)
+        out_s, h_s = isab(T.as_tensor(s), I, p_proj, p_broad)
         assert np.max(np.abs(h_b.data[b] - h_s.data)) < 1e-10
         assert np.max(np.abs(out_b.data[b, : len(s)] - out_s.data)) < 1e-10
 
@@ -270,11 +269,11 @@ def test_attention_gradients_flow():
     rng = np.random.default_rng(40)
     p = make_params(d=4, heads=2, seed=9)
     x = T.parameter(rng.standard_normal((5, 4)), "x")
-    ind = InducingPoints.init(2, 4, T.Rng(9, "I"))
+    I = T.parameter(T.Rng(9, "I").normal((2, 4)), "I")
     p2 = make_params(d=4, heads=2, seed=10)
-    out, h = isab(x, ind, p, p2)
+    out, h = isab(x, I, p, p2)
     T.sum_all(T.mul(out, out)).backward()
     assert x.grad is not None and np.all(np.isfinite(x.grad))
-    assert ind.I.grad is not None and np.any(ind.I.grad != 0)
-    for name, t in p.named("p").items():
+    assert I.grad is not None and np.any(I.grad != 0)
+    for name, t in T.named_params(p, "p").items():
         assert t.grad is not None, name

@@ -106,6 +106,19 @@ def test_default_config_record_literal():
     ]
 
 
+def test_default_parameter_names_pinned():
+    # record names and shapes are the file format: a renamed or reordered
+    # field changes every checkpoint
+    model = SetVAE(ModelConfig(), T.Rng(0, "init"), dtype=np.float32)
+    params = model.params()
+    assert len(params) == 315
+    assert sum(p.data.size for p in params.values()) == 434918
+    lines = "".join(f"{name}:{tuple(p.shape)}\n" for name, p in params.items())
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "cdc44fe8c1f491a9c23a21ea5b402b016fcb734699d27f64fb07dc35b25394bc"
+    )
+
+
 def _drop(name):
     return lambda model, tensors, opt: tensors.pop(name)
 

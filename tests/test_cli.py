@@ -285,6 +285,25 @@ def test_reconstruct_outputs(workspace, tmp_path):
         assert np.isfinite(float(r[2]))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["reconstruct"], ["attn-export", "--level", 0, "--side", "encoder"]],
+    ids=["reconstruct", "attn-export"],
+)
+def test_overflowing_input_is_rejected(workspace, tmp_path, command):
+    data = tmp_path / "huge.jsonl"
+    data.write_text('{"points": [[1e30, 0.5]]}\n')
+    out = tmp_path / "out"
+    res = run_cli(
+        command[0], "--ckpt", workspace["ckpt"], "--data", data, *command[1:],
+        "--out", out,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: the input sets overflow the model")
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [data]
+
+
 # ----------------------------------------------------------------------
 # attn-export
 # ----------------------------------------------------------------------

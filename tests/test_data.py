@@ -144,9 +144,11 @@ def test_jsonl_error_reporting(tmp_path):
     with pytest.raises(ValueError, match="line 1"):
         load_jsonl(path)
 
-    path.write_text(json.dumps({"points": [[None, 1.0]]}) + "\n")
-    with pytest.raises(ValueError, match="line 1"):
-        load_jsonl(path)
+    # numpy would read the strings and booleans as numbers
+    for points in ([[None, 1.0]], [["0.1", "0.2"]], [[True, False]]):
+        path.write_text(json.dumps({"points": points}) + "\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_jsonl(path)
 
     path.write_text("")
     with pytest.raises(ValueError, match="no records"):

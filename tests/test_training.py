@@ -1,6 +1,7 @@
 """Tests for schedules, log lines, and the training loop itself."""
 
 import os
+import signal
 import warnings
 
 import numpy as np
@@ -143,6 +144,29 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     )
     assert open(again, "rb").read() == straight_bytes
     assert (tmp_path / "full" / "train_log.txt").read_bytes() == full_log
+
+
+def test_interrupt_saves_a_resumable_checkpoint(tmp_path):
+    cfg = toy_config()
+    ds = toy_dataset()
+    straight = train(cfg, ds, tmp_path / "full")
+
+    def interrupt_at_step_3(line):
+        if parse_log_line(line)["step"] == 3:
+            os.kill(os.getpid(), signal.SIGINT)
+
+    before = signal.getsignal(signal.SIGINT)
+    run = tmp_path / "run"
+    with pytest.raises(TrainingAborted, match="interrupted after step 3"):
+        train(cfg, ds, run, log_fn=interrupt_at_step_3)
+    assert signal.getsignal(signal.SIGINT) is before
+    assert not (run / "final.svae").exists()
+
+    resumed = train(cfg, ds, run, resume=str(run / "ckpt_000003.svae"))
+    assert open(resumed, "rb").read() == open(straight, "rb").read()
+    assert (run / "train_log.txt").read_bytes() == (
+        tmp_path / "full" / "train_log.txt"
+    ).read_bytes()
 
 
 def test_resume_rejects_architecture_change(tmp_path):
