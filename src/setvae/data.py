@@ -130,6 +130,11 @@ def load_jsonl(path) -> Dataset:
                 arr = arr.astype(np.float64, copy=False)
                 if arr.ndim != 2 or arr.shape[1] not in (2, 3):
                     raise ValueError(f"points must be (n, 2|3), got {arr.shape}")
+                # numpy reads a boolean among numbers as 0 or 1
+                if ("true" in line or "false" in line) and any(
+                    type(v) is bool for p in points for v in p
+                ):
+                    raise ValueError("coordinates must be numbers, got a boolean")
                 if not np.all(np.isfinite(arr)):
                     raise ValueError("non-finite coordinates")
             except (ValueError, KeyError, TypeError) as e:

@@ -8,10 +8,23 @@ sets that are some generated set's nearest neighbor), and 1-NNA
 (leave-one-out nearest-neighbor classification accuracy on the pooled
 populations, 0.5 ideal).
 
+Squared distances come from explicit differences, one coordinate's
+squared difference added at a time in coordinate order, so identical sets
+are exactly 0 apart and no (n, m, dim) array is built. Chamfer runs one
+set against a block of whole sets at once: the block's points are the
+columns of one coordinate-major (dim, m) array, each set's row minima come
+from `np.minimum.reduceat`, and each set's minima are summed contiguously,
+as for a single pair, so a block entry equals `chamfer` of that pair bit
+for bit. A block holds about BLOCK_ENTRIES squared distances, so its
+temporaries do not grow with the population; a set too large for that is
+a block of its own.
+
 `report` computes one pooled matrix of (|Sg| + |Sr|)^2 set distances: its
-Sg x Sr block gives MMD and COV, the whole gives 1-NNA, so the cost grows
-quadratically with population size. Nearest-neighbor ties break toward
-the lowest index.
+Sg x Sr block gives MMD and COV, the whole gives 1-NNA. Chamfer is bitwise
+symmetric, so each unordered pair is computed once and mirrored. EMD is
+not (its matching's bits depend on the order), so it runs every ordered
+pair off the diagonal. The pair count grows quadratically with population
+size. Nearest-neighbor ties break toward the lowest index.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EMD_MAX_POINTS = 512
+BLOCK_ENTRIES = 1 << 15  # squared distances in one Chamfer block
 
 
 @dataclass
@@ -40,19 +54,41 @@ def _check_pointset(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # explicit differences keep the diagonal of identical sets exactly 0
-    diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _check_dims(dim: int, sets: list) -> None:
+    for x in sets:
+        if x.shape[1] != dim:
+            raise ValueError(f"dim mismatch: {dim} vs {x.shape[1]}")
+
+
+def _sq_dists(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances from the rows of x to the columns of cols."""
+    # explicit differences keep identical points exactly 0 apart, and the
+    # coordinates add in order
+    diff = x[:, :1] - cols[0]
+    d2 = diff * diff
+    for k in range(1, x.shape[1]):
+        np.subtract(x[:, k : k + 1], cols[k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    return d2
+
+
+def _chamfer_row(x: np.ndarray, cols: np.ndarray, starts) -> np.ndarray:
+    """Chamfer from x to each set of a block: cols is (dim, m), and set j
+    holds the columns from starts[j] to the next start."""
+    d2 = _sq_dists(x, cols)
+    # each set's minima summed as one contiguous row, as for a single pair
+    fwd = np.minimum.reduceat(d2, starts, axis=1).T.copy().sum(axis=1)
+    bwd = d2.min(axis=0)
+    ends = [*starts[1:], cols.shape[1]]
+    return fwd + np.array([bwd[s:e].sum() for s, e in zip(starts, ends)])
 
 
 def chamfer(x, y) -> float:
     """Two-way sum of squared nearest-neighbor distances."""
     x, y = _check_pointset(x, "x"), _check_pointset(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dim mismatch: {x.shape[1]} vs {y.shape[1]}")
-    d2 = _sq_dists(x, y)
-    return float(d2.min(axis=1).sum() + d2.min(axis=0).sum())
+    _check_dims(x.shape[1], [y])
+    return float(_chamfer_row(x, y.T, [0])[0])
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -113,27 +149,61 @@ def emd(x, y) -> float:
             f"set size {x.shape[0]} exceeds the exact-matching cap "
             f"{EMD_MAX_POINTS}"
         )
-    cost = np.sqrt(_sq_dists(x, y))
+    cost = np.sqrt(_sq_dists(x, y.T))
     perm = hungarian(cost)
     return float(cost[np.arange(len(perm)), perm].sum())
 
 
-_DISTANCES = {"cd": chamfer, "emd": emd}
+def _chamfer_matrix(A: list, B: list, same: bool) -> np.ndarray:
+    cols = np.concatenate([y.T for y in B], axis=1)
+    bounds = np.cumsum([0] + [len(y) for y in B])
+    d = np.empty((len(A), len(B)))
+    for i, x in enumerate(A):
+        width = max(1, BLOCK_ENTRIES // len(x))  # columns per block
+        j = i if same else 0
+        while j < len(B):
+            # whole sets up to the width; a wider set is a block of its own
+            k = int(np.searchsorted(bounds, bounds[j] + width, side="right")) - 1
+            k = max(k, j + 1)
+            s, e = bounds[j], bounds[k]
+            d[i, j:k] = _chamfer_row(x, cols[:, s:e], bounds[j:k] - s)
+            j = k
+    if same:
+        lower = np.tril_indices(len(A), -1)
+        d[lower] = d.T[lower]
+    return d
 
 
-def _distance_fn(tag: str):
-    try:
-        return _DISTANCES[tag.lower()]
-    except KeyError:
-        raise ValueError(f"unknown distance '{tag}', expected cd or emd") from None
+def _emd_matrix(A: list, B: list, same: bool) -> np.ndarray:
+    d = np.zeros((len(A), len(B)))
+    for i, x in enumerate(A):
+        for j, y in enumerate(B):
+            if not (same and i == j):
+                d[i, j] = emd(x, y)
+    return d
+
+
+_PAIRWISE = {"cd": _chamfer_matrix, "emd": _emd_matrix}
 
 
 def pairwise_dists(A: list, B: list, distance: str = "cd") -> np.ndarray:
-    """(|A|, |B|) distance matrix, row by row."""
+    """(|A|, |B|) distance matrix; each set is checked once.
+
+    Passing one list as both A and B asks for a population against itself:
+    Chamfer then computes each unordered pair once and mirrors it, and EMD
+    leaves the diagonal at 0, a set's distance to itself, with no matching.
+    """
     if not A or not B:
         raise ValueError("empty population")
-    fn = _distance_fn(distance)
-    return np.array([[fn(x, y) for y in B] for x in A], dtype=np.float64)
+    try:
+        matrix = _PAIRWISE[distance.lower()]
+    except KeyError:
+        raise ValueError(f"unknown distance '{distance}', expected cd or emd") from None
+    same = B is A
+    A = [_check_pointset(x, "x") for x in A]
+    B = A if same else [_check_pointset(y, "y") for y in B]
+    _check_dims(A[0].shape[1], A if same else A + B)
+    return matrix(A, B, same)
 
 
 def _mmd(d: np.ndarray) -> float:

@@ -246,6 +246,16 @@ def test_eval_emd_rejects_mixed_cardinalities(workspace):
     assert "equal-size sets" in res.stderr
 
 
+def test_eval_rejects_mixed_dimensions(tmp_path):
+    flat = tmp_path / "flat.jsonl"
+    deep = tmp_path / "deep.jsonl"
+    flat.write_text(json.dumps({"points": [[0.0, 1.0], [1.0, 0.0]]}) + "\n")
+    deep.write_text(json.dumps({"points": [[0.0, 1.0, 2.0]]}) + "\n")
+    res = run_cli("eval", "--gen", flat, "--ref", deep)
+    assert res.returncode == 1
+    assert res.stderr == "error: dim mismatch: 2 vs 3\n"
+
+
 def test_eval_separated_populations(workspace, tmp_path):
     ds = load_jsonl(workspace["data"])
     far = tmp_path / "far.jsonl"

@@ -145,7 +145,9 @@ def test_jsonl_error_reporting(tmp_path):
         load_jsonl(path)
 
     # numpy would read the strings and booleans as numbers
-    for points in ([[None, 1.0]], [["0.1", "0.2"]], [[True, False]]):
+    for points in (
+        [[None, 1.0]], [["0.1", "0.2"]], [[True, False]], [[True, 0.5], [0.25, 0.75]]
+    ):
         path.write_text(json.dumps({"points": points}) + "\n")
         with pytest.raises(ValueError, match="line 1"):
             load_jsonl(path)

@@ -244,24 +244,65 @@ def test_metrics_with_emd_distance():
 
 
 def test_report_evaluates_each_pair_at_most_once(monkeypatch):
-    calls = []
-
-    def counted(x, y):
-        calls.append(1)
-        return chamfer(x, y)
-
-    monkeypatch.setitem(metrics._DISTANCES, "cd", counted)
-    n = 6
     # repeated arrays tie exactly, within and across the populations
     base = make_population(16, 3)
     Sg = [base[0], base[0], base[1], base[0] + 1.0, base[2], base[1]]
     Sr = [base[1], base[0] - 1.0, base[0], base[2], base[2], base[0] + 1.0]
+    pooled = 2 * len(Sg)
 
+    blocks = []
+    row = metrics._chamfer_row
+
+    def counted_row(x, cols, starts):
+        blocks.append(len(starts))
+        return row(x, cols, starts)
+
+    monkeypatch.setattr(metrics, "_chamfer_row", counted_row)
     r = report(Sg, Sr)
-    assert len(calls) <= (2 * n) ** 2
+    # each unordered Chamfer pair once, the zero diagonal included
+    assert sum(blocks) <= pooled * (pooled + 1) // 2
     assert (r.mmd, r.cov, r.one_nna) == (
         mmd(Sg, Sr), cov(Sg, Sr), one_nna(Sg, Sr)
     )
+
+    Eg = [s[:4] for s in Sg]
+    Er = [s[:4] for s in Sr]
+    calls = []
+
+    def counted_emd(x, y):
+        calls.append(1)
+        return emd(x, y)
+
+    monkeypatch.setattr(metrics, "emd", counted_emd)
+    r = report(Eg, Er, "emd")
+    # each ordered pair off the diagonal once
+    assert len(calls) <= pooled * (pooled - 1)
+    assert (r.mmd, r.cov, r.one_nna) == (
+        mmd(Eg, Er, "emd"), cov(Eg, Er, "emd"), one_nna(Eg, Er, "emd")
+    )
+
+
+@pytest.mark.parametrize("block", [metrics.BLOCK_ENTRIES, 64, 1])
+def test_block_path_matches_chamfer_pairs(monkeypatch, block):
+    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(19)
+
+    def loops(A, B):
+        return np.array([[chamfer(a, b) for b in B] for a in A])
+
+    for dim in (2, 3):
+        A = [rng.normal(size=(n, dim)) for n in (1, 1, 3, 7, 12, 30)]
+        B = [rng.normal(size=(n, dim)) for n in (5, 1, 2, 19)]
+        # exact ties: repeated sets, and integer points at equal distances
+        grid = rng.integers(-2, 3, size=(6, dim)).astype(np.float64)
+        A += [grid, grid.copy(), grid[::-1].copy()]
+        B += [grid, grid + 1.0]
+        # 200 x 200 distances outgrow a default block: a pair of its own
+        A.append(rng.normal(size=(200, dim)))
+        B.insert(2, rng.normal(size=(200, dim)))
+
+        for P, Q in ((A, B), (B, A), (A, A[::-1]), (A, A), (B, B)):
+            assert np.array_equal(pairwise_dists(P, Q), loops(P, Q))
 
 
 def test_population_error_cases():
