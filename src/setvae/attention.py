@@ -2,15 +2,15 @@
 
 The building blocks, bottom to top:
 
-- ``multihead``: scaled dot-product attention, plain (softmax over keys)
-  or slot mode (softmax over queries, then per-query renormalization so
-  no key is ignored). Equivariant in Q, invariant in (K, V) jointly. The
-  projections are split into a head axis, so all heads run as one batched
-  (…, heads, n_q, n_v) score product and one weighted sum, and are merged
-  back before the output projection.
-- ``mab``: attention + residual on the query + layer norm + affine
+- ``multihead(Q, V)``: scaled dot-product attention of Q over V, which
+  supplies the keys and the values; plain (softmax over keys) or, with
+  ``slot=True``, softmax over queries then per-query renormalization so
+  no key is ignored. Equivariant in Q, invariant to permutations of V.
+  All heads run as one batched (…, heads, n_q, n_v) score product and
+  one weighted sum, merged back before the output projection.
+- ``mab(Q, V)``: attention + residual on the query + layer norm + affine
   feed-forward + second residual + layer norm.
-- ``project``: the slot-mode MAB ``h = mab(I, x)`` that projects a set
+- ``project``: the slot MAB ``h = mab(I, x, slot=True)`` that projects a set
   onto the m learned inducing points of the tensor ``I`` (m, d);
   invariant to permutations of x. Every encoder level and every
   bottleneck level projects through it.
@@ -22,7 +22,8 @@ The building blocks, bottom to top:
   fields, built by the same ``ISAB.init``.
 
 All ops accept a single set (n, d) or a padded batch (B, n, d) with a
-boolean key mask marking valid elements.
+boolean key mask marking valid elements. ``SetBatch(elems, cards)`` is
+such a batch, its mask derived from the cardinalities by ``card_mask``.
 """
 
 from __future__ import annotations
@@ -41,25 +42,29 @@ class ConfigError(ValueError):
     pass
 
 
+def card_mask(cards, n_max: int) -> np.ndarray:
+    """(B, n_max) mask of the valid elements: row b is a cards[b]-prefix."""
+    cards = np.asarray(cards)
+    if not np.all((cards >= 1) & (cards <= n_max)):
+        raise ValueError(f"cardinalities {cards.tolist()} outside [1, {n_max}]")
+    return np.arange(n_max) < cards[:, None]
+
+
 @dataclass
 class SetBatch:
-    """Padded batch of B sets: elems (B, n_max, dim), mask (B, n_max)."""
+    """Padded batch of B sets: elems (B, n_max, dim) and their cardinalities;
+    the (B, n_max) validity mask is derived from them."""
 
     elems: Tensor
-    mask: np.ndarray
     cards: list[int]
 
     def __post_init__(self):
         self.elems = T.as_tensor(self.elems)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.elems.shape[:2] != self.mask.shape:
+        if len(self.cards) != self.size:
             raise T.ShapeError(
-                f"mask shape {self.mask.shape} does not cover elems "
-                f"{self.elems.shape}"
+                f"{len(self.cards)} cardinalities for a batch of {self.size} sets"
             )
-        for b, n in enumerate(self.cards):
-            if not (self.mask[b, :n].all() and not self.mask[b, n:].any()):
-                raise ValueError(f"mask of set {b} is not a {n}-prefix")
+        self.mask = card_mask(self.cards, self.n_max)
 
     @property
     def size(self) -> int:
@@ -177,72 +182,52 @@ def slot_attention_parts(Q: Tensor, K: Tensor, key_mask=None) -> tuple[Tensor, T
     return _slot_parts(scores, _key_mask_for_scores(key_mask, scores.ndim))
 
 
-def _attention_weights(scores: Tensor, key_mask, mode: str) -> Tensor:
+def _attention_weights(scores: Tensor, key_mask, slot: bool) -> Tensor:
     mask = _key_mask_for_scores(key_mask, scores.ndim)
-    if mode == "plain":
-        return T.softmax_axis(scores, axis=-1, mask=mask)
-    if mode == "slot":
+    if slot:
         return _slot_parts(scores, mask)[1]
-    raise ConfigError(f"unknown attention mode '{mode}'")
+    return T.softmax_axis(scores, axis=-1, mask=mask)
 
 
-def _head_scores(Q: Tensor, K: Tensor, p: AttentionParams) -> Tensor:
+def _head_scores(Q: Tensor, V: Tensor, p: AttentionParams) -> Tensor:
     """Scores of every head at once, (…, heads, n_q, n_v)."""
     q = T.split_heads(T.affine(Q, p.W_q, p.b_q), p.heads)
-    k = T.split_heads(T.affine(K, p.W_k, p.b_k), p.heads)
+    k = T.split_heads(T.affine(V, p.W_k, p.b_k), p.heads)
     return _scores(q, k)
 
 
 def multihead(
-    Q: Tensor,
-    K: Tensor,
-    V: Tensor,
-    p: AttentionParams,
-    key_mask=None,
-    mode: str = "plain",
+    Q: Tensor, V: Tensor, p: AttentionParams, key_mask=None, slot: bool = False
 ) -> Tensor:
-    """Multihead attention; masked keys receive weight exactly 0."""
+    """Multihead(Q, V, V): V supplies both keys and values; masked keys
+    receive weight exactly 0."""
     d = p.W_q.shape[0]
-    if Q.shape[-1] != d or K.shape[-1] != d or V.shape[-1] != d:
+    if Q.shape[-1] != d or V.shape[-1] != d:
         raise T.ShapeError(
-            f"attention width mismatch: Q {Q.shape}, K {K.shape}, "
-            f"V {V.shape}, params width {d}"
+            f"attention width mismatch: Q {Q.shape}, V {V.shape}, params width {d}"
         )
-    if K.shape[:-1] != V.shape[:-1]:
-        raise T.ShapeError(f"K/V shapes differ: {K.shape} vs {V.shape}")
-    if d % p.heads != 0:
-        raise ConfigError(f"width {d} not divisible by heads {p.heads}")
-
-    w = _attention_weights(_head_scores(Q, K, p), key_mask, mode)
+    w = _attention_weights(_head_scores(Q, V, p), key_mask, slot)
     v = T.split_heads(T.affine(V, p.W_v, p.b_v), p.heads)
     return T.affine(T.merge_heads(T.matmul(w, v)), p.W_o, p.b_o)
 
 
 def multihead_head_weights(
-    Q: Tensor,
-    K: Tensor,
-    p: AttentionParams,
-    head: int,
-    key_mask=None,
-    mode: str = "plain",
+    Q: Tensor, V: Tensor, p: AttentionParams, head: int, key_mask=None,
+    slot: bool = False,
 ) -> Tensor:
     """The (…, n_q, n_v) weight matrix of one head, as multihead applies it."""
     if not (0 <= head < p.heads):
         raise ConfigError(f"head {head} out of range for {p.heads} heads")
-    scores = T.narrow(_head_scores(Q, K, p), -3, head, 1)
+    scores = T.narrow(_head_scores(Q, V, p), -3, head, 1)
     # merging a single head only drops the head axis
-    return T.merge_heads(_attention_weights(scores, key_mask, mode))
+    return T.merge_heads(_attention_weights(scores, key_mask, slot))
 
 
 def mab(
-    Q: Tensor,
-    V: Tensor,
-    p: AttentionParams,
-    key_mask=None,
-    projection_mode: str = "plain",
+    Q: Tensor, V: Tensor, p: AttentionParams, key_mask=None, slot: bool = False
 ) -> Tensor:
     """MAB(Q, V) = LN(a + FF(a)) with a = LN(Q + Multihead(Q, V, V))."""
-    att = multihead(Q, V, V, p, key_mask=key_mask, mode=projection_mode)
+    att = multihead(Q, V, p, key_mask=key_mask, slot=slot)
     a = T.layer_norm(T.add(Q, att), p.ln1_g, p.ln1_b)
     ff = T.affine(a, p.ff_w, p.ff_b)
     return T.layer_norm(T.add(a, ff), p.ln2_g, p.ln2_b)
@@ -252,7 +237,7 @@ def project(x: Tensor, I: Tensor, p: AttentionParams, mask=None) -> Tensor:
     """h = MAB(I, x) in slot projection mode, I tiled over a batch x."""
     if x.ndim == 3:
         I = T.expand_batch(I, x.shape[0])
-    return mab(I, x, p, key_mask=mask, projection_mode="slot")
+    return mab(I, x, p, key_mask=mask, slot=True)
 
 
 def isab(

@@ -233,12 +233,26 @@ def save_model(
     save_checkpoint(path, tensors, opt)
 
 
+class _NoDraw:
+    """Rng stand-in for building a model whose parameters are then loaded:
+    every draw is zeros of the requested shape, so none is computed."""
+
+    def fork(self, *path) -> "_NoDraw":
+        return self
+
+    def normal(self, shape=(), dtype=np.float64) -> np.ndarray:
+        return np.zeros(shape, dtype)
+
+    def uniform(self, lo: float, hi: float, shape=(), dtype=np.float64) -> np.ndarray:
+        return np.zeros(shape, dtype)
+
+
 def load_model(path, dtype=np.float32) -> tuple[SetVAE, T.AdamState | None, int]:
     tensors, opt = load_checkpoint(path)
     if "meta/config" not in tensors:
         raise CheckpointError("checkpoint has no architecture record")
     cfg = decode_config(tensors["meta/config"])
-    model = SetVAE(cfg, T.Rng(0, "load"), dtype=dtype)
+    model = SetVAE(cfg, _NoDraw(), dtype=dtype)
     params = model.params()
     missing = sorted(set(params) - set(tensors))
     if missing:

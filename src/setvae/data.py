@@ -3,14 +3,14 @@
 A dataset is a list of (n, dim) point arrays with optional string labels.
 On disk it is one JSON object per line: {"points": [[x, y], ...]} plus an
 optional "label". Batching pads to the largest cardinality in the batch
-and threads a validity mask, so downstream attention never mixes padding
-into real elements.
+into a `SetBatch(elems, cards)`, whose mask follows from the cardinalities,
+so downstream attention never mixes padding into real elements.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ KINDS = ("circle", "cross", "two_blobs")
 class Dataset:
     sets: list
     labels: list | None = None
-    _hist: CardinalityDist | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.sets:
@@ -162,11 +161,9 @@ def batch_pad(sets: list, dtype=np.float64) -> SetBatch:
     n_max = max(cards)
     dim = sets[0].shape[1]
     elems = np.zeros((len(sets), n_max, dim), dtype=dtype)
-    mask = np.zeros((len(sets), n_max), dtype=bool)
     for b, s in enumerate(sets):
         elems[b, : len(s)] = s
-        mask[b, : len(s)] = True
-    return SetBatch(elems, mask, cards)
+    return SetBatch(elems, cards)
 
 
 def unpad(batch: SetBatch) -> list:
@@ -174,6 +171,4 @@ def unpad(batch: SetBatch) -> list:
 
 
 def cardinality_histogram(ds: Dataset) -> CardinalityDist:
-    if ds._hist is None:
-        ds._hist = CardinalityDist.from_cards(ds.cards)
-    return ds._hist
+    return CardinalityDist.from_cards(ds.cards)

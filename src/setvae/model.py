@@ -37,6 +37,7 @@ from .attention import (
     AttentionParams,
     ConfigError,
     SetBatch,
+    card_mask,
     init_affine,
     isab,
     mab,
@@ -267,9 +268,6 @@ def _finite_pass(what: str = "the input sets overflow the model"):
 
 def gaussian_kl_elems(mu_q, sigma_q, mu_p, sigma_p) -> Tensor:
     """Elementwise KL(N(mu_q, sigma_q) || N(mu_p, sigma_p)), diagonal."""
-    for s in (sigma_q, sigma_p):
-        if np.any(T.as_tensor(s).data <= 0):
-            raise T.DomainError("gaussian_kl requires positive scales")
     mu_q, sigma_q = T.as_tensor(mu_q), T.as_tensor(sigma_q)
     mu_p, sigma_p = T.as_tensor(mu_p), T.as_tensor(sigma_p)
     log_ratio = T.sub(T.log(sigma_p), T.log(sigma_q))
@@ -397,8 +395,6 @@ class SetVAE:
     # ------------------------------------------------------------------
 
     def _encode_trace(self, x: SetBatch) -> tuple[list[Tensor], list[Tensor]]:
-        if any(n < 1 for n in x.cards):
-            raise ValueError("cannot encode an empty set")
         cur = T.affine(x.elems, self.enc_in_w, self.enc_in_b)
         hs, xins = [], []
         for level in self.enc_levels:
@@ -446,21 +442,19 @@ class SetVAE:
         z = mu_k + sigma_k * noise.z0_eps, reparameterized so mu/sigma learn.
         """
         B, n_max = len(cards), max(cards)
-        mask = np.zeros((B, n_max), dtype=bool)
-        for b, n in enumerate(cards):
-            mask[b, :n] = True
-
+        mask = card_mask(cards, n_max)
         onehot = np.zeros((B, n_max, self.cfg.K), dtype=self.dtype.type)
         valid = np.where(mask)
         onehot[valid[0], valid[1], noise.assign[mask]] = 1.0
         sel = T.as_tensor(onehot)
-        mu = T.matmul(sel, T.expand_batch(self.mog.mu, B))
-        logsig = T.matmul(sel, T.expand_batch(self.mog.logsig, B))
+        mu = T.matmul(sel, self.mog.mu)
+        logsig = T.matmul(sel, self.mog.logsig)
         # no clamp here: log sigma is a direct parameter, not an FF output,
         # and the sigma -> 0 limit must reach the component means
         sigma = T.exp(logsig)
+        # padded rows select no component, so they are exactly zero
         z0 = T.add(mu, T.mask_mul(sigma, noise.z0_eps * mask[:, :, None]))
-        return T.mask_mul(z0, mask[:, :, None]), mask
+        return z0, mask
 
     # ------------------------------------------------------------------
     # Top-down pass shared by generation and inference
@@ -498,7 +492,7 @@ class SetVAE:
         if self.cfg.out_activation == "tanh01":
             one = T.as_tensor(np.ones(self.cfg.out_dim, dtype=out.dtype))
             out = T.scale(T.add_row(T.tanh(out), one), 0.5)
-        return SetBatch(out, mask, [int(n) for n in cards]), kls, latents
+        return SetBatch(out, [int(n) for n in cards]), kls, latents
 
     # ------------------------------------------------------------------
     # Public directions
@@ -566,7 +560,7 @@ class SetVAE:
                 coords = x_hat.elems.data
             w = multihead_head_weights(
                 T.expand_batch(block.I, x.size), x_in, block.proj, head,
-                key_mask=x.mask, mode="slot",
+                key_mask=x.mask, slot=True,
             )
         return np.argmax(w.data, axis=-2), coords
 

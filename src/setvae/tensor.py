@@ -115,9 +115,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
@@ -490,15 +487,16 @@ def normalize_rows(x: Tensor) -> Tensor:
     return _make(out, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if eps <= 0:
-        raise DomainError("layer_norm eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = gain.data * xhat + bias.data
 

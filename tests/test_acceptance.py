@@ -324,9 +324,7 @@ def test_criterion_slot_attention_normalization():
         I = T.parameter(rng.fork("i", heads).normal((m, d)), "I")
         for mask in masks:
             for h in range(heads):
-                W = multihead_head_weights(
-                    I, x, p, h, key_mask=mask, mode="slot"
-                )
+                W = multihead_head_weights(I, x, p, h, key_mask=mask, slot=True)
                 assert np.max(np.abs(W.data.sum(axis=-1) - 1.0)) < 1e-12
                 if mask is not None:
                     assert np.all(W.data[:, ~mask] == 0.0)

@@ -30,8 +30,8 @@ def test_multihead_single_key_ignores_scores():
     rng = np.random.default_rng(30)
     p = make_params()
     v = T.as_tensor(rng.standard_normal((1, 8)))
-    out1 = multihead(T.as_tensor(rng.standard_normal((5, 8))), v, v, p)
-    out2 = multihead(T.as_tensor(rng.standard_normal((5, 8)) * 40), v, v, p)
+    out1 = multihead(T.as_tensor(rng.standard_normal((5, 8))), v, p)
+    out2 = multihead(T.as_tensor(rng.standard_normal((5, 8)) * 40), v, p)
     # with one key every weight is 1, so all rows equal the value projection
     assert np.max(np.abs(out1.data - out1.data[0])) < 1e-12
     assert np.max(np.abs(out1.data - out2.data)) < 1e-12
@@ -42,10 +42,10 @@ def test_multihead_invariant_to_joint_kv_permutation():
     p = make_params()
     q = T.as_tensor(rng.standard_normal((4, 8)))
     kv = rng.standard_normal((7, 8))
-    base = multihead(q, T.as_tensor(kv), T.as_tensor(kv), p).data
+    base = multihead(q, T.as_tensor(kv), p).data
     for _ in range(20):
         perm = rng.permutation(7)
-        out = multihead(q, T.as_tensor(kv[perm]), T.as_tensor(kv[perm]), p).data
+        out = multihead(q, T.as_tensor(kv[perm]), p).data
         assert np.max(np.abs(out - base)) < 1e-10
 
 
@@ -57,9 +57,8 @@ def test_multihead_mask_equals_dropping_key():
     for j in range(6):
         mask = np.ones(6, dtype=bool)
         mask[j] = False
-        masked = multihead(q, T.as_tensor(kv), T.as_tensor(kv), p, key_mask=mask)
-        kept = kv[mask]
-        dropped = multihead(q, T.as_tensor(kept), T.as_tensor(kept), p)
+        masked = multihead(q, T.as_tensor(kv), p, key_mask=mask)
+        dropped = multihead(q, T.as_tensor(kv[mask]), p)
         assert np.max(np.abs(masked.data - dropped.data)) < 1e-10
 
 
@@ -67,18 +66,13 @@ def test_multihead_all_keys_masked_error():
     p = make_params()
     x = T.as_tensor(np.zeros((3, 8)))
     with pytest.raises(T.DomainError, match="all keys masked"):
-        multihead(x, x, x, p, key_mask=np.zeros(3, dtype=bool))
+        multihead(x, x, p, key_mask=np.zeros(3, dtype=bool))
 
 
 def test_multihead_width_mismatch_error():
     p = make_params(d=8)
     with pytest.raises(T.ShapeError):
-        multihead(
-            T.as_tensor(np.ones((3, 4))),
-            T.as_tensor(np.ones((3, 4))),
-            T.as_tensor(np.ones((3, 4))),
-            p,
-        )
+        multihead(T.as_tensor(np.ones((3, 4))), T.as_tensor(np.ones((3, 4))), p)
 
 
 def _fused_vs_per_head_cases(rng, d=8, n_q=3, n_v=6):
@@ -95,9 +89,9 @@ def _fused_vs_per_head_cases(rng, d=8, n_q=3, n_v=6):
 
 
 def _grads(attend, q, kv, p, cot):
-    """Gradients of <attend(q, kv, kv), cot> for q, kv and every parameter."""
+    """Gradients of <attend(q, kv), cot> for q, kv and every parameter."""
     leaves = [T.parameter(q.copy(), "q"), T.parameter(kv.copy(), "kv")]
-    T.sum_all(T.mul(attend(leaves[0], leaves[1], leaves[1]), cot)).backward()
+    T.sum_all(T.mul(attend(*leaves), cot)).backward()
     params = T.named_params(p, "p")
     grads = [l.grad for l in leaves] + [t.grad for t in params.values()]
     T.zero_grads(params)
@@ -108,27 +102,30 @@ def test_fused_heads_match_per_head_loop():
     rng = np.random.default_rng(41)
     for heads in (1, 2, 4):
         p = make_params(d=8, heads=heads, seed=heads)
-        for mode in ("plain", "slot"):
+        for slot in (False, True):
+            mode = "slot" if slot else "plain"
             for q, kv, mask in _fused_vs_per_head_cases(rng):
                 Q, KV = T.as_tensor(q), T.as_tensor(kv)
-                fused = multihead(Q, KV, KV, p, key_mask=mask, mode=mode)
+                fused = multihead(Q, KV, p, key_mask=mask, slot=slot)
                 want, head_w = multihead_per_head(
                     Q, KV, KV, p, key_mask=mask, mode=mode
                 )
                 assert fused.dtype == np.float64
                 assert np.max(np.abs(fused.data - want.data)) < 1e-12
                 for h in range(heads):
-                    w = multihead_head_weights(Q, KV, p, h, key_mask=mask, mode=mode)
+                    w = multihead_head_weights(Q, KV, p, h, key_mask=mask, slot=slot)
                     assert w.shape == head_w[h].shape
                     assert np.max(np.abs(w.data - head_w[h].data)) < 1e-12
 
                 cot = T.as_tensor(rng.standard_normal(fused.shape))
                 got = _grads(
-                    lambda *a: multihead(*a, p, key_mask=mask, mode=mode),
+                    lambda q_, kv_: multihead(q_, kv_, p, key_mask=mask, slot=slot),
                     q, kv, p, cot,
                 )
                 exp = _grads(
-                    lambda *a: multihead_per_head(*a, p, key_mask=mask, mode=mode)[0],
+                    lambda q_, kv_: multihead_per_head(
+                        q_, kv_, kv_, p, key_mask=mask, mode=mode
+                    )[0],
                     q, kv, p, cot,
                 )
                 for g, e in zip(got, exp):
@@ -255,14 +252,21 @@ def test_isab_batched_matches_per_set():
 
 
 def test_setbatch_invariant_checked():
-    elems = T.as_tensor(np.zeros((1, 3, 2)))
-    with pytest.raises(ValueError, match="prefix"):
-        SetBatch(elems, np.array([[True, False, True]]), [2])
-    sb = SetBatch(elems, np.array([[True, True, False]]), [2])
-    assert sb.size == 1 and sb.n_max == 3
+    elems = T.as_tensor(np.zeros((2, 3, 2)))
+    # one cardinality per set, each in [1, n_max]
+    for cards in ([3], [3, 2, 1]):
+        with pytest.raises(T.ShapeError, match="cardinalities for a batch of 2"):
+            SetBatch(elems, cards)
+    for cards in ([0, 2], [2, 4]):
+        with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+            SetBatch(elems, cards)
+    sb = SetBatch(elems, [3, 1])
+    assert sb.size == 2 and sb.n_max == 3
+    assert np.array_equal(sb.mask, [[True, True, True], [True, False, False]])
     # an array is stored as a Tensor, so readers need no type check
-    sb = SetBatch(np.zeros((1, 3, 2)), np.array([[True, True, False]]), [2])
+    sb = SetBatch(np.zeros((1, 3, 2)), [2])
     assert isinstance(sb.elems, T.Tensor) and sb.elems.shape == (1, 3, 2)
+    assert np.array_equal(sb.mask, [[True, True, False]])
 
 
 def test_attention_gradients_flow():

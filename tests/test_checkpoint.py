@@ -279,6 +279,22 @@ def test_load_model_missing_parameter(tmp_path):
         load_model(path)
 
 
+def test_load_model_draws_no_initialisation(tmp_path, monkeypatch):
+    # every parameter is overwritten from the file, so no Rng is built
+    model = tiny_model()
+    path = tmp_path / "m.svae"
+    save_model(path, model, step=3)
+
+    def no_rng(self, *args):
+        raise AssertionError("load_model built a T.Rng")
+
+    monkeypatch.setattr(T.Rng, "__init__", no_rng)
+    loaded, _, step = load_model(path)
+    assert step == 3
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, loaded.params()[name].data), name
+
+
 def test_load_model_without_config_record(tmp_path):
     path = tmp_path / "bare.svae"
     save_checkpoint(path, {"w": np.zeros(1, dtype=np.float32)}, {})

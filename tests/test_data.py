@@ -202,4 +202,3 @@ def test_cardinality_histogram():
     assert hist.prob(3) == 2 / 3
     assert hist.prob(5) == 1 / 3
     assert hist.prob(4) == 0.0
-    assert cardinality_histogram(ds) is hist  # cached

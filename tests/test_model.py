@@ -49,11 +49,9 @@ def batch_from(points_list, dtype=np.float64):
     n_max = max(cards)
     dim = len(points_list[0][0])
     elems = np.zeros((len(cards), n_max, dim))
-    mask = np.zeros((len(cards), n_max), dtype=bool)
     for b, pts in enumerate(points_list):
         elems[b, : len(pts)] = pts
-        mask[b, : len(pts)] = True
-    return SetBatch(T.Tensor(elems.astype(dtype)), mask, cards)
+    return SetBatch(T.Tensor(elems.astype(dtype)), cards)
 
 
 # ----------------------------------------------------------------------
@@ -444,11 +442,11 @@ def test_tape_node_budget():
     assert x.size == 16 and 32 <= min(x.cards) and max(x.cards) <= 64
     x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "noise", 0)))
     loss, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.005)
-    # half of what one narrow/matmul/softmax chain per head builds
-    # (1191 nodes per step, 522 per set)
-    assert tape_nodes(loss) <= 595
+    # fused heads and one-node affines (one narrow/matmul/softmax chain
+    # per head built 1191 nodes per step and 522 per set)
+    assert tape_nodes(loss) == 560
     out, _ = model.generate([48], model.draw_noise([48], T.Rng(0, "gen")))
-    assert tape_nodes(out.elems) <= 261
+    assert tape_nodes(out.elems) == 223
 
 
 def test_masked_chamfer_matches_metric():
