@@ -19,6 +19,14 @@ for bit. A block holds about BLOCK_ENTRIES squared distances, so its
 temporaries do not grow with the population; a set too large for that is
 a block of its own.
 
+EMD checks the whole population once (equal set sizes, at most
+EMD_MAX_POINTS points) and then solves its matchings a block at a time:
+one (k, n, n) stack of Euclidean costs, about EMD_BLOCK_ENTRIES entries,
+goes to `hungarian`, which runs the k problems in lockstep so each numpy
+call serves the whole block. A problem takes the same floating-point steps
+as when solved alone, so its permutation and distance are bitwise those of
+the single pair.
+
 `report` computes one pooled matrix of (|Sg| + |Sr|)^2 set distances: its
 Sg x Sr block gives MMD and COV, the whole gives 1-NNA. Chamfer is bitwise
 symmetric, so each unordered pair is computed once and mirrored. EMD is
@@ -35,6 +43,7 @@ import numpy as np
 
 EMD_MAX_POINTS = 512
 BLOCK_ENTRIES = 1 << 15  # squared distances in one Chamfer block
+EMD_BLOCK_ENTRIES = 1 << 17  # cost entries in one block of EMD matchings
 
 
 @dataclass
@@ -92,66 +101,66 @@ def chamfer(x, y) -> float:
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Permutation perm minimizing sum(cost[i, perm[i]]), O(n^3).
+    """Permutations perm minimizing sum(cost[..., i, perm[..., i]]), O(n^3).
 
-    Shortest-augmenting-path formulation with row/column potentials.
+    cost is one (n, n) matrix or a stack (k, n, n), solved in lockstep: a
+    single matrix is a stack of one. Shortest-augmenting-path formulation
+    with row/column potentials; each problem takes the same floating-point
+    steps as when solved alone, and one that has found its free column
+    waits untouched while the rest of the stack searches.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+    if cost.ndim not in (2, 3) or cost.shape[-1] != cost.shape[-2]:
         raise ValueError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite values")
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=np.int64)  # column -> row, 1-based, 0 = free
-    way = np.zeros(n + 1, dtype=np.int64)
+    stack = cost if cost.ndim == 3 else cost[None]
+    k, n = stack.shape[:2]
+    ks = np.arange(k)
+    u = np.zeros((k, n + 1))
+    v = np.zeros((k, n + 1))
+    match = np.zeros((k, n + 1), dtype=np.int64)  # column -> row, 1-based, 0 = free
+    way = np.zeros((k, n + 1), dtype=np.int64)
     for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        match[:, 0] = i
+        j0 = np.zeros(k, dtype=np.int64)
+        minv = np.full((k, n), np.inf)  # columns 1..n
+        used = np.zeros((k, n + 1), dtype=bool)
+        rows = np.zeros((k, n + 1), dtype=bool)  # rows matched to a used column
+        search = np.ones((k, 1), dtype=bool)  # problems still without a free column
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            free = ~used[1:]
-            cur = cost[i0 - 1, :] - u[i0] - v[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            j1 = int(np.argmin(np.where(free, minv[1:], np.inf))) + 1
-            delta = minv[j1]
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if match[j0] == 0:
+            used[ks, j0] |= search[:, 0]
+            i0 = match[ks, j0]
+            rows[ks, i0] |= search[:, 0]
+            free = ~used[:, 1:]
+            cur = stack[ks, i0 - 1] - u[ks, i0][:, None] - v[:, 1:]
+            better = free & (cur < minv) & search
+            np.copyto(minv, cur, where=better)
+            np.copyto(way[:, 1:], j0[:, None], where=better)
+            j1 = np.argmin(np.where(free, minv, np.inf), axis=1)
+            delta = minv[ks, j1][:, None]
+            np.add(u, delta, out=u, where=rows & search)
+            np.subtract(v, delta, out=v, where=used & search)
+            np.subtract(minv, delta, out=minv, where=free & search)
+            j0 = np.where(search[:, 0], j1 + 1, j0)
+            search &= (match[ks, j0] != 0)[:, None]
+            if not search.any():
                 break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    perm = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        perm[match[j] - 1] = j - 1
-    return perm
+        while True:
+            walk = j0 != 0
+            if not walk.any():
+                break
+            j1 = way[ks, j0]
+            match[ks, j0] = np.where(walk, match[ks, j1], match[ks, j0])
+            j0 = np.where(walk, j1, j0)
+    perm = np.empty((k, n), dtype=np.int64)
+    np.put_along_axis(perm, match[:, 1:] - 1, np.arange(n), axis=1)
+    return perm if cost.ndim == 3 else perm[0]
 
 
 def emd(x, y) -> float:
     """Optimal-assignment distance over non-squared Euclidean costs."""
-    x, y = _check_pointset(x, "x"), _check_pointset(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(
-            f"matching distance needs equal-size sets, got {x.shape} and {y.shape}"
-        )
-    if x.shape[0] > EMD_MAX_POINTS:
-        raise ValueError(
-            f"set size {x.shape[0]} exceeds the exact-matching cap "
-            f"{EMD_MAX_POINTS}"
-        )
-    cost = np.sqrt(_sq_dists(x, y.T))
-    perm = hungarian(cost)
-    return float(cost[np.arange(len(perm)), perm].sum())
+    return float(pairwise_dists([x], [y], "emd")[0, 0])
 
 
 def _chamfer_matrix(A: list, B: list, same: bool) -> np.ndarray:
@@ -175,11 +184,31 @@ def _chamfer_matrix(A: list, B: list, same: bool) -> np.ndarray:
 
 
 def _emd_matrix(A: list, B: list, same: bool) -> np.ndarray:
+    n = A[0].shape[0]
+    for x in A if same else A + B:
+        if x.shape != A[0].shape:
+            raise ValueError(
+                "matching distance needs equal-size sets, "
+                f"got {A[0].shape} and {x.shape}"
+            )
+    if n > EMD_MAX_POINTS:
+        raise ValueError(
+            f"set size {n} exceeds the exact-matching cap {EMD_MAX_POINTS}"
+        )
+    pairs = np.ones((len(A), len(B)), dtype=bool)
+    if same:
+        np.fill_diagonal(pairs, False)  # a set is 0 from itself
+    rows, cols = np.nonzero(pairs)
+    size = max(1, min(len(rows), EMD_BLOCK_ENTRIES // (n * n)))  # pairs per block
+    cost = np.empty((size, n, n))
     d = np.zeros((len(A), len(B)))
-    for i, x in enumerate(A):
-        for j, y in enumerate(B):
-            if not (same and i == j):
-                d[i, j] = emd(x, y)
+    for s in range(0, len(rows), size):
+        r, c = rows[s : s + size], cols[s : s + size]
+        for b, (i, j) in enumerate(zip(r, c)):
+            np.sqrt(_sq_dists(A[i], B[j].T), out=cost[b])
+        block = cost[: len(r)]
+        perm = hungarian(block)
+        d[r, c] = block[np.arange(len(r))[:, None], np.arange(n), perm].sum(axis=1)
     return d
 
 

@@ -112,6 +112,33 @@ def test_hungarian_rejects_bad_matrices():
         hungarian(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         hungarian(np.array([[0.0, np.inf], [1.0, 0.0]]))
+    for shape in ((3,), (2, 2, 3, 3), (2, 3, 4)):
+        with pytest.raises(ValueError, match="square"):
+            hungarian(np.zeros(shape))
+    stack = np.zeros((3, 4, 4))
+    stack[1, 2, 3] = np.nan  # one entry of one matrix
+    with pytest.raises(ValueError, match="non-finite"):
+        hungarian(stack)
+
+
+def test_hungarian_stack_matches_each_matrix_alone():
+    rng = np.random.default_rng(20)
+    n = 7
+    easy = np.ones((n, n)) - np.eye(n)  # each row's search ends in one round
+    crowded = np.outer(np.arange(1.0, n + 1), np.arange(n))  # all want column 0
+    noisy = rng.normal(size=(n, n))
+    tied = np.round(rng.normal(size=(n, n)))  # exact ties, and -0.0 entries
+    stacks = [
+        rng.normal(size=(3, 1, 1)),
+        np.round(rng.normal(size=(6, n, n))),
+        np.stack([noisy, noisy, tied, noisy, tied]),
+        np.stack([easy, crowded, noisy, tied, easy]),
+    ]
+    for stack in stacks:
+        perms = hungarian(stack)
+        assert perms.shape == stack.shape[:2]
+        for cost, perm in zip(stack, perms):
+            assert np.array_equal(perm, hungarian(cost))
 
 
 def test_hungarian_large_instance_is_fast():
@@ -170,9 +197,16 @@ def test_matching_upper_bound_over_random_permutations():
 def test_matching_rejects_mismatch_and_cap():
     with pytest.raises(ValueError):
         emd(np.zeros((3, 2)), np.zeros((4, 2)))
+    # a population is checked as a whole, past its first pair
+    sets = [np.zeros((3, 2)), np.ones((3, 2)), np.zeros((4, 2))]
+    for A, B in ((sets, sets), (sets[:2], sets[1:])):
+        with pytest.raises(ValueError, match="equal-size sets"):
+            pairwise_dists(A, B, "emd")
     big = np.zeros((EMD_MAX_POINTS + 1, 2))
     with pytest.raises(ValueError, match="512"):
         emd(big, big)
+    with pytest.raises(ValueError, match="512"):
+        pairwise_dists([big, big], [big], "emd")
 
 
 # ----------------------------------------------------------------------
@@ -267,16 +301,17 @@ def test_report_evaluates_each_pair_at_most_once(monkeypatch):
 
     Eg = [s[:4] for s in Sg]
     Er = [s[:4] for s in Sr]
-    calls = []
+    matchings = []
+    solve = metrics.hungarian
 
-    def counted_emd(x, y):
-        calls.append(1)
-        return emd(x, y)
+    def counted_hungarian(cost):
+        matchings.append(len(cost))  # the stack's leading dimension
+        return solve(cost)
 
-    monkeypatch.setattr(metrics, "emd", counted_emd)
+    monkeypatch.setattr(metrics, "hungarian", counted_hungarian)
     r = report(Eg, Er, "emd")
     # each ordered pair off the diagonal once
-    assert len(calls) <= pooled * (pooled - 1)
+    assert 0 < sum(matchings) <= pooled * (pooled - 1)
     assert (r.mmd, r.cov, r.one_nna) == (
         mmd(Eg, Er, "emd"), cov(Eg, Er, "emd"), one_nna(Eg, Er, "emd")
     )
@@ -303,6 +338,25 @@ def test_block_path_matches_chamfer_pairs(monkeypatch, block):
 
         for P, Q in ((A, B), (B, A), (A, A[::-1]), (A, A), (B, B)):
             assert np.array_equal(pairwise_dists(P, Q), loops(P, Q))
+
+
+@pytest.mark.parametrize("block", [metrics.EMD_BLOCK_ENTRIES, 200, 1])
+def test_block_path_matches_emd_pairs(monkeypatch, block):
+    # 200 entries hold five 6 x 6 matchings; 1 gives each pair its own block
+    monkeypatch.setattr(metrics, "EMD_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(21)
+
+    def loops(A, B):
+        return np.array([[emd(a, b) for b in B] for a in A])
+
+    A = [rng.normal(size=(6, 2)) for _ in range(5)]
+    B = [rng.normal(size=(6, 2)) for _ in range(3)]
+    # exact ties: repeated sets, and integer points at equal distances
+    grid = rng.integers(-2, 3, size=(6, 2)).astype(np.float64)
+    A += [grid, grid.copy(), grid[::-1].copy()]
+    B += [grid + 1.0]
+    for P, Q in ((A, B), (B, A), (A, A[::-1]), (A, A), (B, B)):
+        assert np.array_equal(pairwise_dists(P, Q, "emd"), loops(P, Q))
 
 
 def test_population_error_cases():
