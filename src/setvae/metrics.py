@@ -13,11 +13,15 @@ squared difference added at a time in coordinate order, so identical sets
 are exactly 0 apart and no (n, m, dim) array is built. Chamfer runs one
 set against a block of whole sets at once: the block's points are the
 columns of one coordinate-major (dim, m) array, each set's row minima come
-from `np.minimum.reduceat`, and each set's minima are summed contiguously,
-as for a single pair, so a block entry equals `chamfer` of that pair bit
-for bit. A block holds about BLOCK_ENTRIES squared distances, so its
-temporaries do not grow with the population; a set too large for that is
-a block of its own.
+from `np.minimum.reduceat`, and each set's minima are summed contiguously.
+A block holds about BLOCK_ENTRIES squared distances; a set too large for
+that is a block of its own. The blocks are planned first, and one
+workspace sized to the largest of them serves every block, so a matrix
+allocates its large arrays once, not once per block. The column minima of
+a chunk of rows, about CHUNK_ENTRIES of them, go into one buffer, and each
+column set's minima are summed once per chunk, one contiguous row per
+pair. Every entry is therefore summed as for a single pair, in the same
+order, and `chamfer` is the one-pair case of the matrix.
 
 EMD checks the whole population once (equal set sizes, at most
 EMD_MAX_POINTS points) and then solves its matchings a block at a time:
@@ -43,6 +47,7 @@ import numpy as np
 
 EMD_MAX_POINTS = 512
 BLOCK_ENTRIES = 1 << 15  # squared distances in one Chamfer block
+CHUNK_ENTRIES = 1 << 17  # column minima held for one chunk of Chamfer rows
 EMD_BLOCK_ENTRIES = 1 << 17  # cost entries in one block of EMD matchings
 
 
@@ -69,12 +74,16 @@ def _check_dims(dim: int, sets: list) -> None:
             raise ValueError(f"dim mismatch: {dim} vs {x.shape[1]}")
 
 
-def _sq_dists(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(n, m) squared distances from the rows of x to the columns of cols."""
+def _sq_dists(x: np.ndarray, cols: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances from the rows of x to the columns of cols,
+    written into work, a flat buffer of at least 2 n m entries."""
+    size = x.shape[0] * cols.shape[1]
+    diff = work[:size].reshape(x.shape[0], cols.shape[1])
+    d2 = work[size : 2 * size].reshape(diff.shape)
     # explicit differences keep identical points exactly 0 apart, and the
     # coordinates add in order
-    diff = x[:, :1] - cols[0]
-    d2 = diff * diff
+    np.subtract(x[:, :1], cols[0], out=diff)
+    np.multiply(diff, diff, out=d2)
     for k in range(1, x.shape[1]):
         np.subtract(x[:, k : k + 1], cols[k], out=diff)
         np.multiply(diff, diff, out=diff)
@@ -82,22 +91,9 @@ def _sq_dists(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _chamfer_row(x: np.ndarray, cols: np.ndarray, starts) -> np.ndarray:
-    """Chamfer from x to each set of a block: cols is (dim, m), and set j
-    holds the columns from starts[j] to the next start."""
-    d2 = _sq_dists(x, cols)
-    # each set's minima summed as one contiguous row, as for a single pair
-    fwd = np.minimum.reduceat(d2, starts, axis=1).T.copy().sum(axis=1)
-    bwd = d2.min(axis=0)
-    ends = [*starts[1:], cols.shape[1]]
-    return fwd + np.array([bwd[s:e].sum() for s, e in zip(starts, ends)])
-
-
 def chamfer(x, y) -> float:
     """Two-way sum of squared nearest-neighbor distances."""
-    x, y = _check_pointset(x, "x"), _check_pointset(y, "y")
-    _check_dims(x.shape[1], [y])
-    return float(_chamfer_row(x, y.T, [0])[0])
+    return float(pairwise_dists([x], [y])[0, 0])
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -163,20 +159,46 @@ def emd(x, y) -> float:
     return float(pairwise_dists([x], [y], "emd")[0, 0])
 
 
-def _chamfer_matrix(A: list, B: list, same: bool) -> np.ndarray:
-    cols = np.concatenate([y.T for y in B], axis=1)
-    bounds = np.cumsum([0] + [len(y) for y in B])
-    d = np.empty((len(A), len(B)))
+def _chamfer_blocks(A: list, bounds: np.ndarray, same: bool) -> list:
+    """Per row set i, the blocks (j, k) of column sets j..k-1 it runs against."""
+    plan = []
     for i, x in enumerate(A):
         width = max(1, BLOCK_ENTRIES // len(x))  # columns per block
-        j = i if same else 0
-        while j < len(B):
+        row, j = [], i if same else 0
+        while j < len(bounds) - 1:
             # whole sets up to the width; a wider set is a block of its own
             k = int(np.searchsorted(bounds, bounds[j] + width, side="right")) - 1
             k = max(k, j + 1)
-            s, e = bounds[j], bounds[k]
-            d[i, j:k] = _chamfer_row(x, cols[:, s:e], bounds[j:k] - s)
+            row.append((j, k))
             j = k
+        plan.append(row)
+    return plan
+
+
+def _chamfer_matrix(A: list, B: list, same: bool) -> np.ndarray:
+    cols = np.concatenate([y.T for y in B], axis=1)
+    bounds = np.cumsum([0] + [len(y) for y in B])
+    plan = _chamfer_blocks(A, bounds, same)
+    # one workspace for every block, sized to the largest one planned
+    sizes = [len(A[i]) * (bounds[k] - bounds[j]) for i, r in enumerate(plan) for j, k in r]
+    work = np.empty(2 * max(sizes))
+    chunk = max(1, CHUNK_ENTRIES // cols.shape[1])  # rows per chunk
+    mins = np.zeros((chunk, cols.shape[1]))  # column minima of a chunk's rows
+    d = np.empty((len(A), len(B)))
+    for r0 in range(0, len(A), chunk):
+        r1 = min(r0 + chunk, len(A))
+        for i in range(r0, r1):
+            for j, k in plan[i]:
+                s, e = bounds[j], bounds[k]
+                d2 = _sq_dists(A[i], cols[:, s:e], work)
+                # each set's minima summed as one contiguous row, as for one pair
+                fwd = np.minimum.reduceat(d2, bounds[j:k] - s, axis=1)
+                d[i, j:k] = fwd.T.copy().sum(axis=1)
+                np.minimum.reduce(d2, axis=0, out=mins[i - r0, s:e])
+        # each row of mins[:h, s:e] is contiguous, so its sum is a single pair's
+        for j in range(r0 if same else 0, len(B)):
+            h = (min(r1, j + 1) if same else r1) - r0  # the chunk's rows that ran j
+            d[r0 : r0 + h, j] += mins[:h, bounds[j] : bounds[j + 1]].sum(axis=1)
     if same:
         lower = np.tril_indices(len(A), -1)
         d[lower] = d.T[lower]
@@ -201,11 +223,12 @@ def _emd_matrix(A: list, B: list, same: bool) -> np.ndarray:
     rows, cols = np.nonzero(pairs)
     size = max(1, min(len(rows), EMD_BLOCK_ENTRIES // (n * n)))  # pairs per block
     cost = np.empty((size, n, n))
+    work = np.empty(2 * n * n)
     d = np.zeros((len(A), len(B)))
     for s in range(0, len(rows), size):
         r, c = rows[s : s + size], cols[s : s + size]
         for b, (i, j) in enumerate(zip(r, c)):
-            np.sqrt(_sq_dists(A[i], B[j].T), out=cost[b])
+            np.sqrt(_sq_dists(A[i], B[j].T, work), out=cost[b])
         block = cost[: len(r)]
         perm = hungarian(block)
         d[r, c] = block[np.arange(len(r))[:, None], np.arange(n), perm].sum(axis=1)

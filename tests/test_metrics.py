@@ -1,6 +1,10 @@
 """Tests for set distances and population metrics against brute force."""
 
 import itertools
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,17 +288,18 @@ def test_report_evaluates_each_pair_at_most_once(monkeypatch):
     Sr = [base[1], base[0] - 1.0, base[0], base[2], base[2], base[0] + 1.0]
     pooled = 2 * len(Sg)
 
-    blocks = []
-    row = metrics._chamfer_row
+    covered = []
+    plan_blocks = metrics._chamfer_blocks
 
-    def counted_row(x, cols, starts):
-        blocks.append(len(starts))
-        return row(x, cols, starts)
+    def counted_blocks(A, bounds, same):
+        plan = plan_blocks(A, bounds, same)
+        covered.extend(k - j for row in plan for j, k in row)  # sets per block
+        return plan
 
-    monkeypatch.setattr(metrics, "_chamfer_row", counted_row)
+    monkeypatch.setattr(metrics, "_chamfer_blocks", counted_blocks)
     r = report(Sg, Sr)
     # each unordered Chamfer pair once, the zero diagonal included
-    assert sum(blocks) <= pooled * (pooled + 1) // 2
+    assert 0 < sum(covered) <= pooled * (pooled + 1) // 2
     assert (r.mmd, r.cov, r.one_nna) == (
         mmd(Sg, Sr), cov(Sg, Sr), one_nna(Sg, Sr)
     )
@@ -317,14 +322,13 @@ def test_report_evaluates_each_pair_at_most_once(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("block", [metrics.BLOCK_ENTRIES, 64, 1])
-def test_block_path_matches_chamfer_pairs(monkeypatch, block):
-    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block)
+@pytest.fixture(scope="module")
+def chamfer_cases():
+    """(P, Q, oracle matrix) for populations with 1-point sets, a 200-point
+    set and exact ties, in 2D and 3D; the oracle runs once per ordered pair
+    of the pooled sets."""
     rng = np.random.default_rng(19)
-
-    def loops(A, B):
-        return np.array([[chamfer(a, b) for b in B] for a in A])
-
+    cases = []
     for dim in (2, 3):
         A = [rng.normal(size=(n, dim)) for n in (1, 1, 3, 7, 12, 30)]
         B = [rng.normal(size=(n, dim)) for n in (5, 1, 2, 19)]
@@ -336,8 +340,62 @@ def test_block_path_matches_chamfer_pairs(monkeypatch, block):
         A.append(rng.normal(size=(200, dim)))
         B.insert(2, rng.normal(size=(200, dim)))
 
-        for P, Q in ((A, B), (B, A), (A, A[::-1]), (A, A), (B, B)):
-            assert np.array_equal(pairwise_dists(P, Q), loops(P, Q))
+        pooled = A + B
+        oracle = np.array(
+            [[exact_chamfer_oracle(p, q) for q in pooled] for p in pooled]
+        )
+        a, b = np.arange(len(A)), len(A) + np.arange(len(B))
+        for P, Q, rows, cols in (
+            (A, B, a, b),
+            (B, A, b, a),
+            (A, A[::-1], a, a[::-1]),
+            (A, A, a, a),
+            (B, B, b, b),
+        ):
+            cases.append((P, Q, oracle[np.ix_(rows, cols)]))
+    return cases
+
+
+@pytest.mark.parametrize("block", [metrics.BLOCK_ENTRIES, 64, 1])
+def test_block_path_matches_chamfer_pairs(monkeypatch, chamfer_cases, block):
+    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block)
+    # a population against itself, with most rows of the column minima unused
+    P, Q, want = chamfer_cases[3]
+    with np.errstate(all="raise"):
+        assert np.array_equal(pairwise_dists(P, Q), want)
+    for rows in (None, 2, 1):  # the default row chunk, then 2 rows and 1 row
+        for P, Q, want in chamfer_cases:
+            if rows is not None:
+                monkeypatch.setattr(metrics, "CHUNK_ENTRIES", rows * sum(map(len, Q)))
+            assert np.array_equal(pairwise_dists(P, Q), want)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts glibc heap trims through Linux page faults",
+)
+def test_chamfer_matrix_reuses_its_memory():
+    # glibc's default trim threshold, set explicitly, turns off its dynamic
+    # threshold: an array allocated and freed per block then faults its
+    # pages in anew for every block
+    script = """
+import resource
+import numpy as np
+from setvae.metrics import pairwise_dists
+rng = np.random.default_rng(0)
+P = [rng.normal(size=(int(rng.integers(32, 65)), 2)) for _ in range(100)]
+pairwise_dists(P, P)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pairwise_dists(P, P)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="131072", OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 5000  # minor page faults over one 100-set matrix
 
 
 @pytest.mark.parametrize("block", [metrics.EMD_BLOCK_ENTRIES, 200, 1])

@@ -12,8 +12,9 @@ Runs, at one BLAS thread, on the `setvae` package in this checkout's
 - `sample` from the stored histogram, and `sample --n 20 --fix-latents
   --temperature 0.5`;
 - `reconstruct`, and `attn-export` on the encoder and the generator side;
-- `eval --distance cd` on 16 vs 16 sets of 32-64 points, and `eval
-  --distance emd` on 8 vs 8 sets of 16 points (`eval` prints
+- `eval --distance cd` on 16 vs 16 and on 60 vs 60 sets of 32-64
+  points (the 120 pooled sets span several chunks of Chamfer rows), and
+  `eval --distance emd` on 8 vs 8 sets of 16 points (`eval` prints
   full-precision floats, so a last-bit change shows);
 - `save_model` of the default config initialised at seed 0.
 
@@ -116,11 +117,15 @@ def main(out: Path) -> int:
             "--level", level, "--side", side, "--head", 1,
             "--out", out / f"attn_{side}.csv")
 
-    for name, count, n_range in (("cd", 16, (32, 64)), ("emd", 8, (16, 16))):
+    for name, distance, count, n_range in (
+        ("cd", "cd", 16, (32, 64)),
+        ("cd_chunks", "cd", 60, (32, 64)),
+        ("emd", "emd", 8, (16, 16)),
+    ):
         gen, ref = out / f"eval_{name}_gen.jsonl", out / f"eval_{name}_ref.jsonl"
         corpus(gen, count, n_range, 6)
         corpus(ref, count, n_range, 7)
-        cli(f"eval_{name}", "eval", "--gen", gen, "--ref", ref, "--distance", name)
+        cli(f"eval_{name}", "eval", "--gen", gen, "--ref", ref, "--distance", distance)
 
     cfg = TrainConfig()
     model = SetVAE(cfg.model_config(), T.Rng(0, "init"), dtype=np.float32)
