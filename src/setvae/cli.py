@@ -23,9 +23,13 @@ from .checkpoint import CheckpointError, load_model
 from .config import load_config
 from .data import Dataset, batch_pad, load_jsonl, save_jsonl, unpad
 from .metrics import chamfer, report
+from .model import Noise
 from .training import TrainingAborted, train
 
 RECONSTRUCT_BATCH = 16
+# element rows per `generate` call of `sample`: peak memory stays bounded
+# however many sets are asked for
+SAMPLE_ROWS = 4096
 
 
 def cmd_train(args) -> int:
@@ -39,23 +43,58 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _frozen_model(path):
+    """A checkpoint's model for inference: no parameter requires a
+    gradient, so no op records a tape edge and each intermediate array is
+    freed once the next op has read it."""
+    model, _, _ = load_model(path)
+    for p in model.params().values():
+        p.requires_grad = False
+    return model
+
+
+def _stacked_noise(parts):
+    """One Noise for the sets of `parts`, in order along axis 0."""
+    return Noise(
+        np.concatenate([p.assign for p in parts]),
+        np.concatenate([p.z0_eps for p in parts]),
+        [np.concatenate(level) for level in zip(*(p.levels for p in parts))],
+    )
+
+
 def cmd_sample(args) -> int:
-    model, _, _ = load_model(args.ckpt)
+    model = _frozen_model(args.ckpt)
     if args.n is None and model.card_dist is None:
         raise ValueError(
             "checkpoint stores no cardinality distribution; pass --n"
         )
     rng = T.Rng(args.seed, "sample")
-    sets, fixed_z = [], None
-    for i in range(args.num_samples):
-        n = args.n if args.n is not None else model.card_dist.sample(rng.fork("card", i))
-        noise = model.draw_noise([n], rng.fork("gen", i))
+    cards = [
+        args.n if args.n is not None else model.card_dist.sample(rng.fork("card", i))
+        for i in range(args.num_samples)
+    ]
+    # set i draws from forks (seed, i) only, and shares a `generate` call
+    # with sets of its own size alone: padding would change the BLAS sums,
+    # so its bits would depend on its neighbours. Sample 0 runs first and
+    # alone when its latents pin the rest.
+    chunks = [[0]] if args.fix_latents and cards else []
+    by_size = {}
+    for i in range(len(chunks), len(cards)):
+        by_size.setdefault(cards[i], []).append(i)
+    for n, idx in by_size.items():
+        k = max(1, SAMPLE_ROWS // max(n, 1))  # draw_noise rejects n < 1
+        chunks += [idx[s : s + k] for s in range(0, len(idx), k)]
+    sets, fixed_z = [None] * len(cards), None
+    for idx in chunks:
+        n = cards[idx[0]]
+        noise = _stacked_noise([model.draw_noise([n], rng.fork("gen", i)) for i in idx])
         out, lat = model.generate(
-            [n], noise, temperature=args.temperature, fixed_z=fixed_z
+            [n] * len(idx), noise, temperature=args.temperature, fixed_z=fixed_z
         )
         if args.fix_latents and fixed_z is None:
             fixed_z = [lvl["z"][0] for lvl in lat.levels]
-        sets.append(unpad(out)[0].astype(np.float64))
+        for i, x in zip(idx, out.elems.data):
+            sets[i] = x.astype(np.float64)
     save_jsonl(Dataset(sets), args.out)
     print(f"wrote {len(sets)} sets to {args.out}")
     return 0
@@ -92,7 +131,7 @@ def _batches(ds, model, seed, tag):
 
 
 def cmd_reconstruct(args) -> int:
-    model, _, _ = load_model(args.ckpt)
+    model = _frozen_model(args.ckpt)
     ds = load_jsonl(args.data)
     csv_path = args.out + ".metrics.csv"
     recons = []
@@ -116,7 +155,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_attn_export(args) -> int:
-    model, _, _ = load_model(args.ckpt)
+    model = _frozen_model(args.ckpt)
     ds = load_jsonl(args.data)
     coord_cols = ["px", "py"] + (["pz"] if ds.dim == 3 else [])
     rows = []

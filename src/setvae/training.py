@@ -5,8 +5,8 @@ Rng(seed, "shuffle", epoch) and all per-step noise from
 Rng(seed, "noise", step), so a run resumed from step k replays steps
 k+1.. with exactly the bits an uninterrupted run would have used.
 
-Each step appends one log line; a resume keeps the lines up to the
-checkpoint's step and drops the rest:
+Each step appends one log line; a resume truncates the log to the lines
+up to the checkpoint's step, in place, and appends from there:
 
     step=N recon=R kl=K beta=B lr=L total=T
 
@@ -131,16 +131,20 @@ def train(
 
     log_path = os.path.join(out_dir, "train_log.txt")
     final_path = os.path.join(out_dir, "final.svae")
-    kept = []
+    kept = 0  # bytes of the log a resume keeps
     if resume is not None and os.path.exists(log_path):
         # steps after the checkpoint are replayed; a line with no newline
         # was cut short by a crash
-        with open(log_path, encoding="utf-8") as f:
-            kept = [l for l in f
-                    if l.endswith("\n") and parse_log_line(l)["step"] <= start_step]
+        with open(log_path, "rb") as f:
+            for l in f:
+                if not l.endswith(b"\n") or parse_log_line(l.decode())["step"] > start_step:
+                    break
+                kept += len(l)
     done = start_step
-    with _interrupt_flag() as interrupted, open(log_path, "w", encoding="utf-8") as log:
-        log.writelines(kept)
+    with _interrupt_flag() as interrupted, open(log_path, "a", encoding="utf-8") as log:
+        # the kept lines are never rewritten, so a crash from here on can
+        # lose only lines past the checkpoint
+        log.truncate(kept)
         for g in range(start_step, total):  # g: 0-based index of this step
             epoch, b = divmod(g, per_epoch)
             if b == 0 or g == start_step:

@@ -1,4 +1,5 @@
-"""Shared oracles for the test suite: finite differences and brute force."""
+"""Shared oracles for the test suite: finite differences, brute force, and
+sampling one set at a time."""
 
 import itertools
 import math
@@ -6,6 +7,7 @@ import math
 import numpy as np
 
 from setvae import tensor as T
+from setvae.checkpoint import load_model
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -101,6 +103,26 @@ def tape_nodes(out) -> int:
             seen.add(id(t))
             stack.extend(t._parents)
     return len(seen)
+
+
+def sample_one_at_a_time(
+    ckpt, num_samples, n=None, temperature=1.0, seed=0, fix_latents=False
+) -> list:
+    """Reference `sample`: one `generate([n])` per set, each from its own
+    forks of Rng(seed, "sample"), on the trainable model `load_model` gives."""
+    model, _, _ = load_model(ckpt)
+    rng = T.Rng(seed, "sample")
+    sets, fixed_z = [], None
+    for i in range(num_samples):
+        k = n if n is not None else model.card_dist.sample(rng.fork("card", i))
+        out, lat = model.generate(
+            [k], model.draw_noise([k], rng.fork("gen", i)),
+            temperature=temperature, fixed_z=fixed_z,
+        )
+        if fix_latents and fixed_z is None:
+            fixed_z = [lvl["z"][0] for lvl in lat.levels]
+        sets.append(out.elems.data[0, :k].astype(np.float64))
+    return sets
 
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[float, tuple]:

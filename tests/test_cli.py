@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -9,10 +10,15 @@ import numpy as np
 import pytest
 
 import setvae.tensor as T
-from setvae.checkpoint import save_model
-from setvae.data import gen_synthetic, load_jsonl, save_jsonl
+from helpers import tape_nodes
+from setvae import cli
+from setvae.checkpoint import load_model, save_model
+from setvae.config import TrainConfig
+from setvae.data import batch_pad, cardinality_histogram, gen_synthetic, load_jsonl, save_jsonl
 from setvae.model import ModelConfig, SetVAE
 from setvae.training import parse_log_line
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 TOY_CONFIG = """
 d = 8
@@ -157,6 +163,130 @@ def test_sample_fix_latents(workspace, tmp_path):
     assert len(ds) == 3 and all(n == 6 for n in ds.cards)
     # latents are shared but the initial sets differ
     assert not np.array_equal(ds.sets[0], ds.sets[1])
+
+
+@pytest.fixture(scope="module")
+def desk_ckpt(tmp_path_factory):
+    """The default f32 architecture with a desk-corpus histogram: 40 sets of
+    32-64 points, so sizes repeat."""
+    path = tmp_path_factory.mktemp("desk") / "desk.svae"
+    model = SetVAE(TrainConfig().model_config(), T.Rng(0, "init"), dtype=np.float32)
+    corpus = gen_synthetic("circle", 40, (32, 64), 0.01, T.Rng(0, "corpus"))
+    model.card_dist = cardinality_histogram(corpus)
+    save_model(path, model)
+    return path
+
+
+# imports the CLI first, which pins one BLAS thread before numpy loads
+REFERENCE = """
+import json, sys
+import setvae.cli
+from helpers import sample_one_at_a_time
+from setvae.data import Dataset, save_jsonl
+kw = json.loads(sys.argv[2])
+save_jsonl(Dataset(sample_one_at_a_time(sys.argv[1], **kw)), sys.argv[3])
+"""
+
+
+def reference_sample(ckpt, out, **kw) -> bytes:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([TESTS, os.environ["PYTHONPATH"]]))
+    res = subprocess.run(
+        [sys.executable, "-c", REFERENCE, str(ckpt), json.dumps(kw), str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, kw",
+    [
+        ([], {}),
+        (["--n", 300], {"n": 300}),  # 20 x 300 rows: two `generate` calls
+        (["--fix-latents"], {"fix_latents": True}),
+        (["--temperature", 0.5], {"temperature": 0.5}),
+    ],
+    ids=["histogram", "row-cap", "fix-latents", "temperature"],
+)
+def test_batched_sample_equals_one_set_at_a_time(desk_ckpt, tmp_path, flags, kw):
+    assert 20 * 300 > cli.SAMPLE_ROWS
+    out = tmp_path / "batched.jsonl"
+    res = run_cli(
+        "sample", "--ckpt", desk_ckpt, "--num-samples", 20, "--seed", 5,
+        *flags, "--out", out,
+    )
+    assert res.returncode == 0, res.stderr
+    ref = reference_sample(
+        desk_ckpt, tmp_path / "ref.jsonl", num_samples=20, seed=5, **kw
+    )
+    assert out.read_bytes() == ref
+    cards = load_jsonl(out).cards
+    assert len(set(cards)) < len(cards)  # equal sizes share a call
+
+
+def test_sample_prefix_property(desk_ckpt, tmp_path):
+    # set i depends on the seed and i alone, not on how many follow it
+    lines = {}
+    for k in (1, 7, 12):
+        out = tmp_path / f"first{k}.jsonl"
+        res = run_cli(
+            "sample", "--ckpt", desk_ckpt, "--num-samples", k, "--seed", 9,
+            "--out", out,
+        )
+        assert res.returncode == 0, res.stderr
+        lines[k] = out.read_bytes().splitlines()
+    assert len(lines[12]) == 12
+    assert lines[12][:1] == lines[1] and lines[12][:7] == lines[7]
+
+
+@pytest.mark.parametrize(
+    "flags, batches",
+    [
+        (["--n", 4], [2, 2, 2, 1]),
+        (["--n", 4, "--fix-latents"], [1, 2, 2, 2]),
+        (["--n", 20], [1] * 7),  # a set wider than the cap runs alone
+    ],
+    ids=["cap", "fix-latents", "wide"],
+)
+def test_sample_batches_by_cardinality(
+    workspace, tmp_path, monkeypatch, flags, batches
+):
+    monkeypatch.setattr(cli, "SAMPLE_ROWS", 8)
+    seen = []
+    generate = SetVAE.generate
+
+    def counting(self, cards, *args, **kw):
+        assert len(set(cards)) == 1  # never padded
+        seen.append(len(cards))
+        return generate(self, cards, *args, **kw)
+
+    monkeypatch.setattr(SetVAE, "generate", counting)
+    out = tmp_path / "s.jsonl"
+    assert cli.main(["sample", "--ckpt", str(workspace["ckpt"]), "--num-samples", "7",
+                     *map(str, flags), "--out", str(out)]) == 0
+    assert seen == batches
+    assert len(load_jsonl(out)) == 7
+
+
+def test_frozen_model_builds_no_tape(workspace):
+    data = load_jsonl(workspace["data"])
+    x = batch_pad(data.sets[:4], dtype=np.float32)
+    model = cli._frozen_model(workspace["ckpt"])
+    params = model.params()
+    assert not any(p.requires_grad for p in params.values())
+    out, _ = model.generate([5, 5], model.draw_noise([5, 5], T.Rng(0, "gen")))
+    x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "infer")))
+    for t in [out.elems, x_hat.elems, *kls]:
+        assert t._parents == () and not t.requires_grad
+    T.sum_all(x_hat.elems).backward()
+    assert all(p.grad is None for p in params.values())
+
+    # the training path loads trainable parameters, as before
+    trainable, _, _ = load_model(workspace["ckpt"])
+    x_hat, kls, _ = trainable.infer(x, trainable.draw_noise(x.cards, T.Rng(0, "infer")))
+    assert tape_nodes(x_hat.elems) > 0
+    T.sum_all(x_hat.elems).backward()
+    assert any(p.grad is not None for p in trainable.params().values())
 
 
 def test_sample_requires_n_without_stored_distribution(tmp_path):

@@ -2,6 +2,8 @@
 
 import os
 import signal
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -144,6 +146,44 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     )
     assert open(again, "rb").read() == straight_bytes
     assert (tmp_path / "full" / "train_log.txt").read_bytes() == full_log
+
+
+# a resume from step 5 that dies at step 7, before any checkpoint
+CRASHED_RESUME = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from test_training import toy_config, toy_dataset
+from setvae.training import parse_log_line, train
+
+def crash(line):
+    if parse_log_line(line)["step"] == 7:
+        os._exit(3)
+
+train(toy_config(), toy_dataset(), sys.argv[2], resume=sys.argv[3], log_fn=crash)
+"""
+
+
+def test_crashed_resume_keeps_the_log(tmp_path):
+    cfg, ds = toy_config(), toy_dataset()
+    full = tmp_path / "full"
+    straight = train(cfg, ds, full)
+    full_log = (full / "train_log.txt").read_bytes()
+    run = tmp_path / "run"
+    train(cfg, ds, run)
+    ckpt = str(run / "ckpt_000005.svae")
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", CRASHED_RESUME, tests, str(run), ckpt],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 3, res.stderr
+    kept = b"".join(full_log.splitlines(keepends=True)[:5])
+    assert (run / "train_log.txt").read_bytes().startswith(kept)
+
+    resumed = train(cfg, ds, run, resume=ckpt)
+    assert open(resumed, "rb").read() == open(straight, "rb").read()
+    assert (run / "train_log.txt").read_bytes() == full_log
 
 
 def test_interrupt_saves_a_resumable_checkpoint(tmp_path):

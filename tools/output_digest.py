@@ -10,7 +10,10 @@ Runs, at one BLAS thread, on the `setvae` package in this checkout's
   checkpoint into a second directory;
 - 3 default-config training steps at batch size 16;
 - `sample` from the stored histogram, and `sample --n 20 --fix-latents
-  --temperature 0.5`;
+  --temperature 0.5`, on the small model; on the default-config model,
+  `sample` of 40 sets from its histogram (sizes repeat, so sets share a
+  `generate` call) and `sample --n 300 --num-samples 20` (more rows than
+  one call takes);
 - `reconstruct`, and `attn-export` on the encoder and the generator side;
 - `eval --distance cd` on 16 vs 16 and on 60 vs 60 sets of 32-64
   points (the 120 pooled sets span several chunks of Chamfer rows), and
@@ -110,6 +113,11 @@ def main(out: Path) -> int:
     cli("sample_fixed", "sample", "--ckpt", final, "--num-samples", 4,
         "--n", 20, "--fix-latents", "--temperature", 0.5, "--seed", 4,
         "--out", out / "sample_fixed.jsonl")
+    default_final = out / "default" / "final.svae"
+    cli("sample_desk", "sample", "--ckpt", default_final, "--num-samples", 40,
+        "--seed", 5, "--out", out / "sample_desk.jsonl")
+    cli("sample_rows", "sample", "--ckpt", default_final, "--num-samples", 20,
+        "--n", 300, "--seed", 6, "--out", out / "sample_rows.jsonl")
     cli("reconstruct", "reconstruct", "--ckpt", final, "--data", small_data,
         "--out", out / "recon.jsonl")
     for side, level in (("encoder", 0), ("generator", 1)):
