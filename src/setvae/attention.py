@@ -75,12 +75,13 @@ class SetBatch:
         return self.elems.shape[1]
 
 
-def init_affine(fan_in: int, fan_out: int, rng: T.Rng, dtype) -> tuple[Tensor, Tensor]:
+def init_affine(fan_in: int, fan_out: int, init: T.Init) -> tuple[Tensor, Tensor]:
     """Weight (fan_in, fan_out) and bias, uniform in +-1/sqrt(fan_in)."""
     bound = 1.0 / math.sqrt(fan_in)
-    w = rng.fork("w").uniform(-bound, bound, (fan_in, fan_out), dtype)
-    b = rng.fork("b").uniform(-bound, bound, (fan_out,), dtype)
-    return T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
+    return (
+        init.fork("w").uniform(-bound, bound, (fan_in, fan_out)),
+        init.fork("b").uniform(-bound, bound, (fan_out,)),
+    )
 
 
 @dataclass
@@ -104,22 +105,19 @@ class AttentionParams:
     heads: int
 
     @staticmethod
-    def init(d: int, heads: int, rng: T.Rng, dtype=np.float64) -> "AttentionParams":
+    def init(d: int, heads: int, init: T.Init) -> "AttentionParams":
         if d % heads != 0:
             raise ConfigError(f"width {d} not divisible by heads {heads}")
-        W_q, b_q = init_affine(d, d, rng.fork("q"), dtype)
-        W_k, b_k = init_affine(d, d, rng.fork("k"), dtype)
-        W_v, b_v = init_affine(d, d, rng.fork("v"), dtype)
-        W_o, b_o = init_affine(d, d, rng.fork("o"), dtype)
-        ff_w, ff_b = init_affine(d, d, rng.fork("ff"), dtype)
-        ones = np.ones(d, dtype=dtype)
-        zeros = np.zeros(d, dtype=dtype)
         return AttentionParams(
-            W_q, b_q, W_k, b_k, W_v, b_v, W_o, b_o, ff_w, ff_b,
-            T.Tensor(ones.copy(), requires_grad=True),
-            T.Tensor(zeros.copy(), requires_grad=True),
-            T.Tensor(ones.copy(), requires_grad=True),
-            T.Tensor(zeros.copy(), requires_grad=True),
+            *init_affine(d, d, init.fork("q")),
+            *init_affine(d, d, init.fork("k")),
+            *init_affine(d, d, init.fork("v")),
+            *init_affine(d, d, init.fork("o")),
+            *init_affine(d, d, init.fork("ff")),
+            init.full(1.0, (d,)),
+            init.full(0.0, (d,)),
+            init.full(1.0, (d,)),
+            init.full(0.0, (d,)),
             heads,
         )
 
@@ -134,13 +132,11 @@ class ISAB(NamedTuple):
     broad: AttentionParams | None
 
     @staticmethod
-    def init(
-        m: int, d: int, heads: int, rng: T.Rng, broad: bool, dtype=np.float64
-    ) -> "ISAB":
+    def init(m: int, d: int, heads: int, init: T.Init, broad: bool) -> "ISAB":
         return ISAB(
-            T.parameter(rng.fork("I").normal((m, d), dtype), "I"),
-            AttentionParams.init(d, heads, rng.fork("proj"), dtype),
-            AttentionParams.init(d, heads, rng.fork("broad"), dtype) if broad else None,
+            init.fork("I").normal((m, d)),
+            AttentionParams.init(d, heads, init.fork("proj")),
+            AttentionParams.init(d, heads, init.fork("broad")) if broad else None,
         )
 
 

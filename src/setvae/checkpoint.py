@@ -23,8 +23,10 @@ Errors are distinct per failure: bad magic, bad version, bad checksum
 (truncation included). A config record of the wrong length, and an
 integer entry of any metadata that is fractional, negative or out of
 range, are CheckpointErrors, as is a histogram or Adam moment missing its
-other half. Saves are atomic: a failed save leaves the earlier file at
-that path intact.
+other half, and a parameter or moment record whose shape is not the one
+the config's layout gives it; those shapes are checked before the model's
+parameter vector is allocated. Saves are atomic: a failed save leaves the
+earlier file at that path intact.
 """
 
 from __future__ import annotations
@@ -226,44 +228,46 @@ def save_model(
     opt: dict[str, np.ndarray] = {"train/step": np.array([step], dtype=np.float32)}
     if opt_state is not None:
         opt["adam/step"] = np.array([opt_state.step], dtype=np.float32)
-        for name, m in opt_state.m.items():
-            opt[f"adam/m/{name}"] = m
-        for name, v in opt_state.v.items():
-            opt[f"adam/v/{name}"] = v
+        if opt_state.m is not None:
+            for key, vec in (("m", opt_state.m), ("v", opt_state.v)):
+                for s in model.buffer.trained_slots:
+                    opt[f"adam/{key}/{s.name}"] = vec[s.span].reshape(s.shape)
     save_checkpoint(path, tensors, opt)
 
 
-class _NoDraw:
-    """Rng stand-in for building a model whose parameters are then loaded:
-    every draw is zeros of the requested shape, so none is computed."""
+def load_model(
+    path, dtype=np.float32, frozen: bool = False
+) -> tuple[SetVAE, T.AdamState | None, int]:
+    """The model, its Adam state (None if the file has none) and its step.
 
-    def fork(self, *path) -> "_NoDraw":
-        return self
-
-    def normal(self, shape=(), dtype=np.float64) -> np.ndarray:
-        return np.zeros(shape, dtype)
-
-    def uniform(self, lo: float, hi: float, shape=(), dtype=np.float64) -> np.ndarray:
-        return np.zeros(shape, dtype)
-
-
-def load_model(path, dtype=np.float32) -> tuple[SetVAE, T.AdamState | None, int]:
+    Every record is checked against the layout the config describes before
+    the parameter vector is allocated, so a config that claims a larger
+    model than the file holds fails without allocating it. A `frozen`
+    model, for inference, requires no gradient, and its Adam state gets no
+    moment vectors.
+    """
     tensors, opt = load_checkpoint(path)
     if "meta/config" not in tensors:
         raise CheckpointError("checkpoint has no architecture record")
     cfg = decode_config(tensors["meta/config"])
-    model = SetVAE(cfg, _NoDraw(), dtype=dtype)
-    params = model.params()
-    missing = sorted(set(params) - set(tensors))
+    model = SetVAE(cfg, None, dtype=dtype)
+    buf = model.buffer
+    missing = sorted(set(buf.params) - set(tensors))
     if missing:
         raise CheckpointError(f"checkpoint is missing parameters: {missing[:5]}")
-    for name, p in params.items():
-        arr = tensors[name].astype(dtype, copy=True)
-        if arr.shape != p.data.shape:
+    held = sum(tensors[s.name].size for s in buf.layout)
+    if held != buf.size:
+        raise CheckpointError(
+            f"checkpoint holds {held} parameter entries, "
+            f"its config describes {buf.size}"
+        )
+    for s in buf.layout:
+        if tensors[s.name].shape != s.shape:
             raise CheckpointError(
-                f"parameter '{name}' has shape {arr.shape}, expected {p.data.shape}"
+                f"parameter '{s.name}' has shape {tensors[s.name].shape}, "
+                f"expected {s.shape}"
             )
-        p.data = arr
+    buf.fill(tensors)
     if "meta/pn_support" in tensors or "meta/pn_counts" in tensors:
         support = _ints(tensors, "meta/pn_support")
         counts = _ints(tensors, "meta/pn_counts")
@@ -279,16 +283,27 @@ def load_model(path, dtype=np.float32) -> tuple[SetVAE, T.AdamState | None, int]
     state = None
     if "adam/step" in opt:
         state = T.AdamState(step=_ints(opt, "adam/step", 1)[0])
-        for name, p in params.items():
-            m, v = opt.get(f"adam/m/{name}"), opt.get(f"adam/v/{name}")
+        moments = []
+        for s in buf.trained_slots:
+            m, v = opt.get(f"adam/m/{s.name}"), opt.get(f"adam/v/{s.name}")
             if (m is None) != (v is None):
-                raise CheckpointError(f"Adam state for '{name}' lacks m or v")
+                raise CheckpointError(f"Adam state for '{s.name}' lacks m or v")
             if m is not None:
-                if not m.shape == v.shape == p.shape:
+                if not m.shape == v.shape == s.shape:
                     raise CheckpointError(
-                        f"Adam state for '{name}' has shapes {m.shape} and "
-                        f"{v.shape}, expected {p.shape}"
+                        f"Adam state for '{s.name}' has shapes {m.shape} and "
+                        f"{v.shape}, expected {s.shape}"
                     )
-                state.m[name] = m.astype(dtype, copy=True)
-                state.v[name] = v.astype(dtype, copy=True)
+                moments.append((s.span, m, v))
+        if moments and not frozen:
+            # a parameter without moment records starts from zero moments,
+            # as on a first step
+            state.m = np.zeros(buf.trained, dtype)
+            state.v = np.zeros(buf.trained, dtype)
+            for span, m, v in moments:
+                state.m[span] = m.ravel()
+                state.v[span] = v.ravel()
+    if frozen:
+        for p in buf.params.values():
+            p.requires_grad = False
     return model, state, step

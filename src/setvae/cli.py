@@ -46,11 +46,9 @@ def cmd_train(args) -> int:
 def _frozen_model(path):
     """A checkpoint's model for inference: no parameter requires a
     gradient, so no op records a tape edge and each intermediate array is
-    freed once the next op has read it."""
-    model, _, _ = load_model(path)
-    for p in model.params().values():
-        p.requires_grad = False
-    return model
+    freed once the next op has read it, and no gradient or moment vector
+    is allocated."""
+    return load_model(path, frozen=True)[0]
 
 
 def _stacked_noise(parts):

@@ -118,11 +118,13 @@ class MoGPrior:
     logsig: Tensor
 
     @staticmethod
-    def init(K: int, d0: int, rng: T.Rng, dtype=np.float64) -> "MoGPrior":
+    def init(K: int, d0: int, init: T.Init) -> "MoGPrior":
+        # the component draw reads the logits as plain values, so no loss
+        # reaches them and the optimizer leaves them out
         return MoGPrior(
-            T.Tensor(np.zeros(K, dtype=dtype), requires_grad=True),
-            T.Tensor(rng.fork("mu").normal((K, d0), dtype), requires_grad=True),
-            T.Tensor(np.zeros((K, d0), dtype=dtype), requires_grad=True),
+            init.full(0.0, (K,), trained=False),
+            init.fork("mu").normal((K, d0)),
+            init.full(0.0, (K, d0)),
         )
 
     def weights(self) -> np.ndarray:
@@ -192,24 +194,18 @@ class ABLParams:
 
     @staticmethod
     def init(
-        m: int, d: int, d_z: int, heads: int, rng: T.Rng,
-        unconditional: bool, dtype=np.float64,
+        m: int, d: int, d_z: int, heads: int, init: T.Init, unconditional: bool
     ) -> "ABLParams":
-        ff_z_w, ff_z_b = init_affine(d_z, d, rng.fork("ff_z"), dtype)
-        ff_post_w, ff_post_b = init_affine(d, 2 * d_z, rng.fork("ff_post"), dtype)
         p = ABLParams(
-            *ISAB.init(m, d, heads, rng, broad=True, dtype=dtype),
-            ff_z_w, ff_z_b, ff_post_w, ff_post_b,
+            *ISAB.init(m, d, heads, init, broad=True),
+            *init_affine(d_z, d, init.fork("ff_z")),
+            *init_affine(d, 2 * d_z, init.fork("ff_post")),
         )
         if unconditional:
-            p.prior_mu = T.Tensor(
-                rng.fork("prior_mu").normal((m, d_z), dtype), requires_grad=True
-            )
-            p.prior_logsig = T.Tensor(np.zeros((m, d_z), dtype=dtype), requires_grad=True)
+            p.prior_mu = init.fork("prior_mu").normal((m, d_z))
+            p.prior_logsig = init.full(0.0, (m, d_z))
         else:
-            p.ff_prior_w, p.ff_prior_b = init_affine(
-                d, 2 * d_z, rng.fork("ff_prior"), dtype
-            )
+            p.ff_prior_w, p.ff_prior_b = init_affine(d, 2 * d_z, init.fork("ff_prior"))
         return p
 
     @property
@@ -348,35 +344,36 @@ def abl_step(
 class SetVAE:
     """Full model: parameters, both directions, and the training loss."""
 
-    def __init__(self, cfg: ModelConfig, rng: T.Rng, dtype=np.float64):
+    def __init__(self, cfg: ModelConfig, rng: T.Rng | None, dtype=np.float64):
+        """Parameters drawn from `rng`; with rng None they are declared only,
+        and `self.buffer` holds their layout for a checkpoint to fill."""
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         d, h = cfg.d, cfg.heads
-        self.enc_in_w, self.enc_in_b = init_affine(
-            cfg.out_dim, d, rng.fork("enc_in"), dtype
-        )
+        init = T.Init(rng, dtype)
+        self.enc_in_w, self.enc_in_b = init_affine(cfg.out_dim, d, init.fork("enc_in"))
         # the deepest level only feeds its projection h onward, so it gets
         # no broadcast block (that output would be unused)
         self.enc_levels = [
-            ISAB.init(
-                m, d, h, rng.fork("enc", l), broad=l < len(cfg.enc_m) - 1, dtype=dtype
-            )
+            ISAB.init(m, d, h, init.fork("enc", l), broad=l < len(cfg.enc_m) - 1)
             for l, m in enumerate(cfg.enc_m)
         ]
-        self.mog = MoGPrior.init(cfg.K, cfg.d0, rng.fork("mog"), dtype)
-        self.gen_in_w, self.gen_in_b = init_affine(cfg.d0, d, rng.fork("gen_in"), dtype)
+        self.mog = MoGPrior.init(cfg.K, cfg.d0, init.fork("mog"))
+        self.gen_in_w, self.gen_in_b = init_affine(cfg.d0, d, init.fork("gen_in"))
         self.abls = [
             ABLParams.init(
-                m, d, cfg.d_z, h, rng.fork("abl", l), unconditional=(l == 0),
-                dtype=dtype,
+                m, d, cfg.d_z, h, init.fork("abl", l), unconditional=(l == 0)
             )
             for l, m in enumerate(cfg.gen_m)
         ]
-        self.out_w, self.out_b = init_affine(d, cfg.out_dim, rng.fork("out"), dtype)
+        self.out_w, self.out_b = init_affine(d, cfg.out_dim, init.fork("out"))
         self.card_dist: CardinalityDist | None = None
+        self.buffer = T.ParamBuffer(self.params())
+        if rng is not None:
+            self.buffer.fill()
 
     def params(self) -> dict[str, Tensor]:
-        """Every trained tensor, keyed by its field path (`enc0/proj/W_q`);
+        """Every parameter tensor, keyed by its field path (`enc0/proj/W_q`);
         the order and the names are the checkpoint's."""
         out = {"enc_in/w": self.enc_in_w, "enc_in/b": self.enc_in_b}
         for l, level in enumerate(self.enc_levels):

@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode autodiff, Adam, and a counter-based RNG.
 
 Everything downstream (attention blocks, the latent hierarchy, losses) is
-built from the ops in this module. Tensors are immutable values: every op
-returns a fresh tensor and records its inputs plus a vector-Jacobian
+built from the ops in this module. Op outputs are immutable values: every
+op returns a fresh tensor and records its inputs plus a vector-Jacobian
 callback, so the tape is rebuilt on each forward pass and variable set
-cardinality never invalidates a cached graph.
+cardinality never invalidates a cached graph. Only leaves change in place:
+`backward` adds into a leaf's `.grad`, and Adam writes the parameters.
 
 Shapes: weight matrices and single sets are rank 2, padded batches of sets
 rank 3, and attention splits the feature axis into a head axis, so its
@@ -15,12 +16,22 @@ binary ops require equal shapes. The broadcasts are few and explicit:
 all leading axes of its two sides against each other (numpy rules), and
 `mask_mul`/`mask_fill` take any mask that broadcasts to their input.
 `affine(x, W, b)` computes x @ W + b as a single tape node.
+
+Parameters: a model declares its parameters through `Init`, and a
+`ParamBuffer` lays them out in one vector, read off their names and shapes
+alone. Every parameter's `.data` is a view into that vector, and every
+trained parameter's `.grad` a view into a second one, so `backward`
+accumulates in place and `clip_grads` and `adam_step` run as whole-vector
+ops. `AdamState` holds Adam's two moment vectors, laid out as the
+gradient vector.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, is_dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +144,44 @@ def parameter(data, name: str) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True, name=name)
 
 
+class Init:
+    """Declares a model's parameters while its dataclasses are built.
+
+    Each call returns a leaf Tensor of the requested shape. With an Rng it
+    holds its initial draw, keyed by the fork path as with `Rng` itself.
+    Without one (`Init(None, dtype)`, for a model a checkpoint fills) it
+    holds a zero-stride placeholder: the layout can then be read off a
+    config and checked before anything is allocated or drawn.
+    """
+
+    def __init__(self, rng: Rng | None, dtype=np.float64):
+        self.rng = rng
+        self.dtype = np.dtype(dtype)
+
+    def fork(self, *path) -> "Init":
+        return Init(None if self.rng is None else self.rng.fork(*path), self.dtype)
+
+    def _declare(self, shape, draw, trained: bool = True) -> Tensor:
+        if self.rng is None:
+            data = np.broadcast_to(np.zeros((), self.dtype), shape)
+        else:
+            data = draw(self.rng)
+        return Tensor(data, requires_grad=trained)
+
+    def uniform(self, lo: float, hi: float, shape) -> Tensor:
+        return self._declare(shape, lambda r: r.uniform(lo, hi, shape, self.dtype))
+
+    def normal(self, shape) -> Tensor:
+        return self._declare(shape, lambda r: r.normal(shape, self.dtype))
+
+    def full(self, value: float, shape, trained: bool = True) -> Tensor:
+        """A constant start; `trained=False` declares a parameter that no
+        loss reaches, so Adam leaves it out."""
+        return self._declare(
+            shape, lambda r: np.full(shape, value, self.dtype), trained
+        )
+
+
 def named_params(obj, prefix: str) -> dict[str, Tensor]:
     """Every Tensor under a dataclass or NamedTuple, in field order, keyed by
     its field path `prefix/field[/subfield]`. None and non-tensor fields
@@ -148,6 +197,65 @@ def named_params(obj, prefix: str) -> dict[str, Tensor]:
     for name in names:
         out.update(named_params(getattr(obj, name), f"{prefix}/{name}"))
     return out
+
+
+class Slot(NamedTuple):
+    """Where one parameter lives in a `ParamBuffer`: entries `span` of the
+    vector, viewed as `shape`."""
+
+    name: str
+    span: slice
+    shape: tuple
+
+
+class ParamBuffer:
+    """Named parameters as views into one vector `data`.
+
+    The layout is read off the parameters' names, shapes and
+    `requires_grad` flags alone: the trained parameters first, in the
+    order of `params`, then the others. Adam updates the first `trained`
+    entries of `data`, which `grad` and the Adam moments cover. Nothing is
+    allocated until `fill`, so a checkpoint's records can be checked
+    against the layout first.
+    """
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        self.dtype = next(iter(params.values())).dtype
+        trained = [n for n, p in params.items() if p.requires_grad]
+        rest = [n for n, p in params.items() if not p.requires_grad]
+        self.layout, offset = [], 0
+        for name in trained + rest:
+            shape = tuple(params[name].shape)
+            size = math.prod(shape)
+            self.layout.append(Slot(name, slice(offset, offset + size), shape))
+            offset += size
+        self.size = offset
+        self.trained_slots = self.layout[: len(trained)]
+        self.trained = sum(s.span.stop - s.span.start for s in self.trained_slots)
+        self.data = None
+        self.grad = None
+
+    def fill(self, values: dict | None = None) -> None:
+        """Allocate `data` and make each parameter's view of it its `.data`,
+        holding `values[name]`, or by default the parameter's current data."""
+        self.data = np.empty(self.size, self.dtype)
+        for s in self.layout:
+            p = self.params[s.name]
+            view = self.data[s.span].reshape(s.shape)
+            view[...] = p.data if values is None else values[s.name]
+            p.data = view
+
+    def zero_grad(self) -> None:
+        """Zero the gradient vector. The first call allocates it and makes
+        each trained parameter's view of it its `.grad`, which `backward`
+        then adds into."""
+        if self.grad is not None:
+            self.grad.fill(0)
+            return
+        self.grad = np.zeros(self.trained, self.dtype)
+        for s in self.trained_slots:
+            self.params[s.name].grad = self.grad[s.span].reshape(s.shape)
 
 
 def _tracked(*parents: Tensor) -> bool:
@@ -172,7 +280,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse traversal from a scalar loss; accumulates into leaf .grad."""
+    """Reverse traversal from a scalar loss; accumulates into leaf .grad,
+    allocating it on a leaf's first gradient when it is None."""
     if loss.ndim != 0:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
@@ -201,8 +310,9 @@ def backward(loss: Tensor) -> None:
         if not node._parents:
             if node.requires_grad:
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad = node.grad + g
+                    node.grad = np.zeros_like(node.data) + g
+                else:  # in place: a parameter's view of ParamBuffer.grad
+                    node.grad += g
             continue
         for p, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not (p.requires_grad or p._parents):
@@ -211,11 +321,6 @@ def backward(loss: Tensor) -> None:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
-
-
-def zero_grads(params) -> None:
-    for p in params.values() if isinstance(params, dict) else params:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -456,20 +561,22 @@ def softmax_axis(x: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor
     ax = axis % x.ndim
     if mask is not None:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if np.any(~m.any(axis=ax)):
+        if not m.any(axis=ax).all():
             raise DomainError("empty softmax slice")
-        shifted = np.where(m, x.data, -np.inf)
-        shifted = shifted - shifted.max(axis=ax, keepdims=True)
-        e = np.exp(shifted)
-        e = np.where(m, e, 0.0)
+        # masked entries become exp(-inf) = +0, so no second pass zeroes them
+        out = np.where(m, x.data, -np.inf)
+        out -= out.max(axis=ax, keepdims=True)
     else:
-        shifted = x.data - x.data.max(axis=ax, keepdims=True)
-        e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+        out = x.data - x.data.max(axis=ax, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=ax, keepdims=True)
 
     def vjp(g):
-        inner = (g * out).sum(axis=ax, keepdims=True)
-        return ((g - inner) * out,)
+        gx = g * out
+        inner = np.add.reduce(gx, axis=ax, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= out
+        return (gx,)
 
     return _make(out, (x,), vjp)
 
@@ -481,8 +588,11 @@ def normalize_rows(x: Tensor) -> Tensor:
     out = x.data / s
 
     def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) / s,)
+        gx = g * out
+        inner = np.add.reduce(gx, axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx /= s
+        return (gx,)
 
     return _make(out, (x,), vjp)
 
@@ -493,23 +603,27 @@ LN_EPS = 1e-5
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the last axis, then affine gain/bias."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    out = gain.data * xhat + bias.data
+    d = x.shape[-1]
+    # np.add.reduce(...) / d is what np.mean computes, without its wrapper
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
+    np.multiply(gain.data, xhat, out=out)
+    out += bias.data
 
     def vjp(g):
-        d = x.shape[-1]
-        gx_hat = g * gain.data
-        gx = inv * (
-            gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        )
+        gx = g * gain.data
+        prod = gx * xhat
+        mean_g = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        mean_gx = np.add.reduce(prod, axis=-1, keepdims=True) / d
+        gx -= mean_g
+        np.multiply(xhat, mean_gx, out=prod)
+        gx -= prod
+        gx *= inv
         lead = tuple(range(g.ndim - 1))
-        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        np.multiply(g, xhat, out=prod)
+        return gx, prod.sum(axis=lead), g.sum(axis=lead)
 
     return _make(out, (x, gain, bias), vjp)
 
@@ -538,7 +652,7 @@ def reduce_mean(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     ax = _check_axis(x, axis, "mean")
     n = x.shape[ax]
-    out = x.data.mean(axis=ax, keepdims=keepdims)
+    out = np.add.reduce(x.data, axis=ax, keepdims=keepdims) / n
 
     def vjp(g):
         if not keepdims:
@@ -581,65 +695,82 @@ def sum_all(x: Tensor) -> Tensor:
 
 @dataclass
 class AdamState:
+    """Adam's step count and its two moment vectors, laid out as the
+    gradient vector of a `ParamBuffer`; the first step allocates them."""
+
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+
+# entries per pass of `adam_step`: the scratch and each vector's slice stay
+# in cache, and the scratch stays small
+ADAM_CHUNK = 16384
 
 
 def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    buf: ParamBuffer,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update over named parameters, in place."""
+    """One bias-corrected Adam update of the trained parameters, in place,
+    from `buf.grad`. Each op is elementwise, so the chunks round exactly as
+    one pass over each parameter's array would."""
     if lr <= 0:
         raise ValueError("adam_step requires lr > 0")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
+    grad, n = buf.grad, buf.trained
+    if not np.isfinite(grad).all():
+        for s in buf.trained_slots:
+            if not np.isfinite(grad[s.span]).all():
+                raise FloatingPointError(f"non-finite gradient for parameter '{s.name}'")
+    if state.m is None:
+        state.m = np.zeros(n, buf.dtype)
+        state.v = np.zeros(n, buf.dtype)
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"'{name}' shape {p.data.shape}"
-            )
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
+    scratch = np.empty((2, min(n, ADAM_CHUNK)), buf.dtype)
+    for a in range(0, n, ADAM_CHUNK):
+        b = min(a + ADAM_CHUNK, n)
+        g, m, v = grad[a:b], state.m[a:b], state.v[a:b]
+        tmp, update = scratch[:, : b - a]
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m += tmp
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (lr / c1) * m / (np.sqrt(v / c2) + eps)
-        p.data = p.data - update.astype(p.data.dtype, copy=False)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v += tmp
+        # update = (lr / c1) * m / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.multiply(m, lr / c1, out=update)
+        update /= tmp
+        buf.data[a:b] -= update
 
 
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
+def clip_grads(buf: ParamBuffer, max_norm: float) -> float:
+    """The global norm of `buf.grad`, before clipping. When max_norm > 0
+    and the norm exceeds it, the gradient is scaled in place to max_norm.
+
+    Each parameter's squares are summed in float64 on their own, and those
+    sums added in layout order. Clipping fires on most early steps, so that
+    order reaches the parameters' bits.
+    """
+    grad = buf.grad
+    sq = np.empty(max(math.prod(s.shape) for s in buf.trained_slots), np.float64)
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))
-
-
-def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most max_norm."""
-    norm = global_grad_norm(grads)
+    for s in buf.trained_slots:
+        part = sq[: s.span.stop - s.span.start]
+        part[...] = grad[s.span]
+        part *= part
+        total += float(np.add.reduce(part))
+    norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
-        s = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * s
+        grad *= max_norm / norm
     return norm

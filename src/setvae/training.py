@@ -125,7 +125,7 @@ def train(
         start_step = 0
     model.card_dist = cardinality_histogram(ds)
 
-    params = model.params()
+    buf = model.buffer
     per_epoch = math.ceil(len(ds) / cfg.batch_size)
     total = total_step_count(cfg, len(ds))
 
@@ -160,18 +160,16 @@ def train(
                 loss, recon, kl_sum = model.elbo_loss(batch, x_hat, kls, beta)
                 if not np.isfinite(loss.data):
                     raise FloatingPointError("non-finite loss")
+                buf.zero_grad()
                 loss.backward()
-                grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-                T.clip_grads(grads, cfg.grad_clip)
+                T.clip_grads(buf, cfg.grad_clip)
                 T.adam_step(
-                    params, grads, opt, lr,
-                    beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
+                    buf, opt, lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2
                 )
             except (NonFiniteError, FloatingPointError) as e:
                 raise TrainingAborted(
                     f"{e} at step {g + 1}; last checkpoint kept in {out_dir}"
                 ) from None
-            T.zero_grads(params)
 
             done = g + 1
             line = format_log_line(

@@ -1,8 +1,9 @@
-"""Shared oracles for the test suite: finite differences, brute force, and
-sampling one set at a time."""
+"""Shared oracles for the test suite: finite differences, brute force,
+sampling one set at a time, and the optimizer as a loop over named arrays."""
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +58,61 @@ def check_op_grad(op, shapes, rng, arrays=None, **kwargs) -> float:
 
         worst = max(worst, rel_err(leaves[i].grad, numeric_grad(f, a)))
     return worst
+
+
+def zero_grads(params) -> None:
+    """Drop the gradients of ad hoc leaves (a dict's values or a list)."""
+    for p in params.values() if isinstance(params, dict) else params:
+        p.grad = None
+
+
+@dataclass
+class DictAdamState:
+    """Reference Adam state: one moment array per parameter name."""
+
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def clip_grads_dict(grads: dict, max_norm: float) -> float:
+    """Reference clipping over a dict of gradient arrays: each array's
+    float64 sum of squares, summed in dict order; scales the arrays (by
+    rebinding) when the norm exceeds max_norm > 0. Returns the norm."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        s = max_norm / norm
+        for name in grads:
+            grads[name] = grads[name] * s
+    return norm
+
+
+def adam_step_dict(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference Adam: a loop over named parameters, updating those that
+    have an entry in `grads` and rebinding each one's `.data`."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            state.m[name] = m
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        update = (lr / c1) * m / (np.sqrt(v / c2) + eps)
+        p.data = p.data - update.astype(p.data.dtype, copy=False)
 
 
 def multihead_per_head(Q, K, V, p, key_mask=None, mode="plain"):

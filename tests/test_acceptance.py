@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import setvae.tensor as T
-from helpers import check_op_grad, rel_err
+from helpers import check_op_grad, rel_err, zero_grads
 from setvae.attention import AttentionParams, isab
 from setvae.attention import multihead_head_weights, slot_attention_parts
 from setvae.data import Dataset, batch_pad, gen_synthetic, load_jsonl, save_jsonl
@@ -47,8 +47,8 @@ def test_criterion_equivariance_suite():
     for init in range(5):
         heads = (1, 2, 4, 2, 4)[init]
         rng = T.Rng(100 + init, "equi")
-        p_proj = AttentionParams.init(d, heads, rng.fork("pp"))
-        p_broad = AttentionParams.init(d, heads, rng.fork("pb"))
+        p_proj = AttentionParams.init(d, heads, T.Init(rng.fork("pp")))
+        p_broad = AttentionParams.init(d, heads, T.Init(rng.fork("pb")))
         I = T.parameter(rng.fork("I").normal((m, d)), "I")
         x = rng.fork("x").normal((n, d))
         out0, h0 = isab(T.Tensor(x), I, p_proj, p_broad)
@@ -171,7 +171,7 @@ def test_criterion_gradient_suite():
     T.backward(loss_and_model())
     params = model.params()
     grads = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
-    T.zero_grads(params)
+    zero_grads(params)
 
     picker = np.random.default_rng(123)
     names = sorted(grads)
@@ -320,7 +320,7 @@ def test_criterion_slot_attention_normalization():
 
     x = T.Tensor(rng.fork("x").normal((n, d)))
     for heads in (1, 2, 4, 8):
-        p = AttentionParams.init(d, heads, rng.fork("p", heads))
+        p = AttentionParams.init(d, heads, T.Init(rng.fork("p", heads)))
         I = T.parameter(rng.fork("i", heads).normal((m, d)), "I")
         for mask in masks:
             for h in range(heads):

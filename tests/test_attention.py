@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import multihead_per_head
+from helpers import multihead_per_head, zero_grads
 from setvae import tensor as T
 from setvae.attention import (
     AttentionParams,
@@ -18,12 +18,12 @@ from setvae.attention import (
 
 
 def make_params(d=8, heads=2, seed=0):
-    return AttentionParams.init(d, heads, T.Rng(seed, "p"))
+    return AttentionParams.init(d, heads, T.Init(T.Rng(seed, "p")))
 
 
 def test_params_head_divisibility():
     with pytest.raises(ConfigError):
-        AttentionParams.init(6, 4, T.Rng(0))
+        AttentionParams.init(6, 4, T.Init(T.Rng(0)))
 
 
 def test_multihead_single_key_ignores_scores():
@@ -94,7 +94,7 @@ def _grads(attend, q, kv, p, cot):
     T.sum_all(T.mul(attend(*leaves), cot)).backward()
     params = T.named_params(p, "p")
     grads = [l.grad for l in leaves] + [t.grad for t in params.values()]
-    T.zero_grads(params)
+    zero_grads(params)
     return grads
 
 
@@ -186,8 +186,8 @@ def test_isab_properties_across_heads_and_m():
     for heads in (1, 2, 4):
         for m in (1, 2, 8):
             seed = 100 * heads + m
-            p_proj = AttentionParams.init(d, heads, T.Rng(seed, "proj"))
-            p_broad = AttentionParams.init(d, heads, T.Rng(seed, "broad"))
+            p_proj = AttentionParams.init(d, heads, T.Init(T.Rng(seed, "proj")))
+            p_broad = AttentionParams.init(d, heads, T.Init(T.Rng(seed, "broad")))
             I = T.parameter(T.Rng(seed, "I").normal((m, d)), "I")
             x = rng.standard_normal((6, d))
             out, h = isab(T.as_tensor(x), I, p_proj, p_broad)
@@ -202,8 +202,8 @@ def test_isab_properties_across_heads_and_m():
 def test_isab_mask_equals_dropping_elements():
     rng = np.random.default_rng(37)
     d = 8
-    p_proj = AttentionParams.init(d, 2, T.Rng(1, "proj"))
-    p_broad = AttentionParams.init(d, 2, T.Rng(1, "broad"))
+    p_proj = AttentionParams.init(d, 2, T.Init(T.Rng(1, "proj")))
+    p_broad = AttentionParams.init(d, 2, T.Init(T.Rng(1, "broad")))
     I = T.parameter(T.Rng(1, "I").normal((4, d)), "I")
     x = rng.standard_normal((5, d))
     padded = np.zeros((7, d))
@@ -218,8 +218,8 @@ def test_isab_mask_equals_dropping_elements():
 def test_isab_padded_rows_get_zero_gradient():
     rng = np.random.default_rng(38)
     d = 8
-    p_proj = AttentionParams.init(d, 2, T.Rng(2, "proj"))
-    p_broad = AttentionParams.init(d, 2, T.Rng(2, "broad"))
+    p_proj = AttentionParams.init(d, 2, T.Init(T.Rng(2, "proj")))
+    p_broad = AttentionParams.init(d, 2, T.Init(T.Rng(2, "broad")))
     I = T.parameter(T.Rng(2, "I").normal((3, d)), "I")
     padded = np.zeros((6, d))
     padded[:4] = rng.standard_normal((4, d))
@@ -235,8 +235,8 @@ def test_isab_padded_rows_get_zero_gradient():
 def test_isab_batched_matches_per_set():
     rng = np.random.default_rng(39)
     d = 8
-    p_proj = AttentionParams.init(d, 2, T.Rng(3, "proj"))
-    p_broad = AttentionParams.init(d, 2, T.Rng(3, "broad"))
+    p_proj = AttentionParams.init(d, 2, T.Init(T.Rng(3, "proj")))
+    p_broad = AttentionParams.init(d, 2, T.Init(T.Rng(3, "broad")))
     I = T.parameter(T.Rng(3, "I").normal((4, d)), "I")
     sets = [rng.standard_normal((n, d)) for n in (3, 5)]
     padded = np.zeros((2, 5, d))

@@ -54,18 +54,46 @@ def test_round_trip_is_byte_identical(tmp_path):
 
 def test_adam_state_round_trip(tmp_path):
     model = tiny_model()
-    params = model.params()
-    state = T.AdamState(step=9)
-    for name, p in params.items():
-        state.m[name] = np.full_like(p.data, 0.25)
-        state.v[name] = np.full_like(p.data, 0.5)
+    buf = model.buffer
+    rng = T.Rng(4, "moments")
+    state = T.AdamState(
+        step=9,
+        m=rng.fork("m").normal((buf.trained,), np.float32),
+        v=rng.fork("v").uniform(0.0, 1.0, (buf.trained,), np.float32),
+    )
     path = tmp_path / "opt.svae"
     save_model(path, model, opt_state=state, step=9)
-    _, back, step = load_model(path)
+    _, opt = load_checkpoint(path)
+    for s in buf.trained_slots:
+        assert np.array_equal(opt[f"adam/m/{s.name}"].ravel(), state.m[s.span]), s.name
+        assert np.array_equal(opt[f"adam/v/{s.name}"].ravel(), state.v[s.span]), s.name
+    loaded, back, step = load_model(path)
     assert step == 9 and back.step == 9
-    for name in params:
-        assert np.array_equal(back.m[name], state.m[name])
-        assert np.array_equal(back.v[name], state.v[name])
+    assert np.array_equal(back.m, state.m) and np.array_equal(back.v, state.v)
+    save_model(tmp_path / "again.svae", loaded, opt_state=back, step=9)
+    assert (tmp_path / "again.svae").read_bytes() == path.read_bytes()
+
+
+def test_adam_records_cover_the_trained_parameters(tmp_path):
+    # the mixture logits get no gradient, so Adam keeps no moments for them
+    model = tiny_model()
+    model.buffer.zero_grad()
+    model.buffer.grad[:] = 1.0
+    state = T.AdamState()
+    T.adam_step(model.buffer, state, lr=1e-3)
+    path = tmp_path / "opt.svae"
+    save_model(path, model, opt_state=state, step=1)
+    _, opt = load_checkpoint(path)
+    names = [n for n in model.params() if n != "mog/logits"]
+    assert list(opt) == (
+        ["train/step", "adam/step"]
+        + [f"adam/m/{n}" for n in names]
+        + [f"adam/v/{n}" for n in names]
+    )
+    # a fresh state has no moments to save
+    save_model(path, model, opt_state=T.AdamState(), step=0)
+    assert list(load_checkpoint(path)[1]) == ["train/step", "adam/step"]
+    assert load_model(path)[1].m is None
 
 
 def test_config_vector_round_trip():
@@ -276,6 +304,36 @@ def test_load_model_missing_parameter(tmp_path):
     path = tmp_path / "partial.svae"
     save_checkpoint(path, tensors, {})
     with pytest.raises(CheckpointError, match="out/w"):
+        load_model(path)
+
+
+def test_oversized_config_record_fails_before_allocating(tmp_path, capsys):
+    # a valid checksum over records of a d=8 model, with a config record
+    # claiming d = 2^23: the layout would need about 2^48 entries
+    model = tiny_model()
+    tensors = {name: p.data for name, p in model.params().items()}
+    tensors["meta/config"] = encode_config(model.cfg)
+    tensors["meta/config"][0] = 2.0**23
+    path = tmp_path / "huge.svae"
+    save_checkpoint(path, tensors, {})
+    with pytest.raises(CheckpointError, match="config describes"):
+        load_model(path)
+    out = tmp_path / "out.jsonl"
+    argv = ["sample", "--ckpt", str(path), "--num-samples", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_parameter_record_shape_checked_against_layout(tmp_path):
+    model = tiny_model()
+    tensors = {name: p.data for name, p in model.params().items()}
+    tensors["meta/config"] = encode_config(model.cfg)
+    tensors["out/w"] = tensors["out/w"].T.copy()  # same entry count
+    path = tmp_path / "transposed.svae"
+    save_checkpoint(path, tensors, {})
+    with pytest.raises(CheckpointError, match="'out/w' has shape \\(2, 8\\)"):
         load_model(path)
 
 

@@ -274,6 +274,7 @@ def test_frozen_model_builds_no_tape(workspace):
     model = cli._frozen_model(workspace["ckpt"])
     params = model.params()
     assert not any(p.requires_grad for p in params.values())
+    assert model.buffer.grad is None
     out, _ = model.generate([5, 5], model.draw_noise([5, 5], T.Rng(0, "gen")))
     x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "infer")))
     for t in [out.elems, x_hat.elems, *kls]:

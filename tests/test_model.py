@@ -413,20 +413,24 @@ def test_elbo_identities():
 
 
 def test_elbo_gradients_reach_every_trained_parameter():
-    model = SetVAE(small_config(), T.Rng(3, "init"))
-    x = batch_from([T.Rng(1, "a").normal((5, 2))])
-    x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(7, "inf")))
-    total, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.5)
-    T.backward(total)
-    missing = [
-        name
-        for name, p in model.params().items()
-        if p.grad is None and name != "mog/logits"
-    ]
-    assert missing == []
-    # component choice is a discrete draw, so the mixture weights get
-    # no gradient from the ELBO
-    assert model.params()["mog/logits"].grad is None
+    # Adam updates the layout's trained prefix on every step, so each
+    # parameter in it must get a gradient from every ELBO
+    x = batch_from([T.Rng(1, "a").normal((5, 2)), T.Rng(2, "a").normal((3, 2))])
+    for cfg in (ModelConfig(), small_config(), ModelConfig(K=1)):
+        model = SetVAE(cfg, T.Rng(3, "init"))
+        x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(7, "inf")))
+        total, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.5)
+        T.backward(total)
+        buf = model.buffer
+        trained = [s.name for s in buf.trained_slots]
+        assert trained == [name for name in model.params() if name != "mog/logits"]
+        assert [p.grad is not None for p in model.params().values()] == [
+            name in trained for name in model.params()
+        ]
+        # component choice is a discrete draw, so the mixture weights get
+        # no gradient from the ELBO, and the layout leaves them out of Adam
+        assert [s.name for s in buf.layout[len(trained):]] == ["mog/logits"]
+        assert buf.trained == buf.size - cfg.K
 
 
 def test_tape_node_budget():
@@ -490,13 +494,10 @@ def test_vanilla_single_slot_levels_train():
         if first is None:
             first = float(recon.data)
         last = float(recon.data)
+        model.buffer.zero_grad()
         T.backward(total)
-        grads = {
-            k: p.grad for k, p in model.params().items() if p.grad is not None
-        }
-        T.clip_grads(grads, 5.0)
-        T.adam_step(model.params(), grads, state, lr=3e-3)
-        T.zero_grads(model.params())
+        T.clip_grads(model.buffer, 5.0)
+        T.adam_step(model.buffer, state, lr=3e-3)
     assert last < first
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from setvae import tensor as T
-from helpers import check_op_grad, numeric_grad, rel_err
+from helpers import check_op_grad, numeric_grad, rel_err, zero_grads
 
 
 def test_matmul_identity():
@@ -243,8 +243,9 @@ def test_backward_accumulates_across_calls():
     T.sum_all(x).backward()
     T.sum_all(x).backward()
     assert np.array_equal(x.grad, [2.0, 2.0])
-    T.zero_grads([x])
-    assert x.grad is None
+    zero_grads([x])
+    T.sum_all(x).backward()
+    assert np.array_equal(x.grad, [1.0, 1.0])
 
 
 def test_backward_nonscalar_error():
@@ -264,49 +265,84 @@ def test_mask_ops():
     assert np.array_equal(y.data, [[1.0, 9.0]])
 
 
+def flat_params(**values):
+    """A ParamBuffer over one float64 parameter per keyword, with its
+    gradient vector bound."""
+    buf = T.ParamBuffer({name: T.parameter(v, name) for name, v in values.items()})
+    buf.fill()
+    buf.zero_grad()
+    return buf
+
+
 def test_adam_zero_gradient_leaves_parameter():
-    p = T.parameter([1.0, 2.0], "w")
+    buf = flat_params(w=[1.0, 2.0])
     st = T.AdamState()
-    T.adam_step({"w": p}, {"w": np.zeros(2)}, st, lr=0.1)
-    assert np.array_equal(p.data, [1.0, 2.0])
+    T.adam_step(buf, st, lr=0.1)
+    assert np.array_equal(buf.params["w"].data, [1.0, 2.0])
     assert st.step == 1
 
 
 def test_adam_first_step_magnitude():
     # with constant gradient g, the bias-corrected first step is lr*g/(|g|+~0)
     for g0 in (0.5, -2.0, 10.0):
-        p = T.parameter([0.0], "w")
-        T.adam_step({"w": p}, {"w": np.array([g0])}, T.AdamState(), lr=1e-3)
-        assert abs(abs(p.data[0]) - 1e-3) < 1e-8
-        assert np.sign(p.data[0]) == -np.sign(g0)
+        buf = flat_params(w=[0.0])
+        buf.params["w"].grad[:] = g0
+        T.adam_step(buf, T.AdamState(), lr=1e-3)
+        w = buf.params["w"].data
+        assert abs(abs(w[0]) - 1e-3) < 1e-8
+        assert np.sign(w[0]) == -np.sign(g0)
 
 
 def test_adam_nan_gradient_error_names_parameter():
-    p = T.parameter([1.0], "w_bad")
-    with pytest.raises(FloatingPointError, match="w_bad"):
-        T.adam_step({"w_bad": p}, {"w_bad": np.array([np.nan])}, T.AdamState(), 0.1)
+    buf = flat_params(w_ok=[1.0], w_bad=[1.0])
+    buf.params["w_bad"].grad[:] = np.nan
+    st = T.AdamState()
+    with pytest.raises(FloatingPointError, match="'w_bad'"):
+        T.adam_step(buf, st, 0.1)
+    assert st.step == 0 and np.array_equal(buf.data, [1.0, 1.0])
 
 
 def test_adam_deterministic_over_100_steps():
     def run():
         rng = T.Rng(99, "adam")
-        p = T.parameter(rng.normal((4, 4)), "w")
+        buf = flat_params(w=rng.normal((4, 4)))
         st = T.AdamState()
         for step in range(100):
-            g = rng.fork("g", step).normal((4, 4))
-            T.adam_step({"w": p}, {"w": g}, st, lr=1e-2)
-        return p.data
+            buf.params["w"].grad[...] = rng.fork("g", step).normal((4, 4))
+            T.adam_step(buf, st, lr=1e-2)
+        return buf.params["w"].data
 
     a, b = run(), run()
     assert np.array_equal(a, b)
 
 
 def test_clip_grads_global_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    norm = T.clip_grads(grads, max_norm=1.0)
+    buf = flat_params(a=[0.0], b=[0.0])
+    buf.grad[:] = [3.0, 4.0]
+    norm = T.clip_grads(buf, max_norm=1.0)
     assert abs(norm - 5.0) < 1e-12
-    clipped = T.global_grad_norm(grads)
-    assert abs(clipped - 1.0) < 1e-12
+    # max_norm 0 only measures
+    assert abs(T.clip_grads(buf, max_norm=0.0) - 1.0) < 1e-12
+    assert np.allclose(buf.params["b"].grad, [0.8], atol=1e-12)
+
+
+def test_param_buffer_layout_puts_trained_first():
+    frozen = T.Tensor(np.array([7.0, 8.0]))
+    buf = T.ParamBuffer(
+        {"a": T.parameter(np.ones((2, 3)), "a"), "k": frozen, "b": T.parameter([5.0], "b")}
+    )
+    assert [(s.name, s.span.start, s.shape) for s in buf.layout] == [
+        ("a", 0, (2, 3)), ("b", 6, (1,)), ("k", 7, (2,)),
+    ]
+    assert buf.size == 9 and buf.trained == 7 and buf.data is None
+    buf.fill()
+    buf.zero_grad()
+    assert np.array_equal(buf.data, [1, 1, 1, 1, 1, 1, 5, 7, 8])
+    assert all(np.shares_memory(p.data, buf.data) for p in buf.params.values())
+    assert frozen.grad is None and buf.grad.shape == (7,)
+    # backward adds into the views
+    T.sum_all(T.scale(buf.params["a"], 2.0)).backward()
+    assert np.array_equal(buf.grad, [2, 2, 2, 2, 2, 2, 0])
 
 
 def test_rng_streams_are_independent_and_stable():

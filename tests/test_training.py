@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 import setvae.tensor as T
+import setvae.training as training
+from helpers import DictAdamState, adam_step_dict, clip_grads_dict, zero_grads
 from setvae.checkpoint import load_model
+from setvae.cli import _frozen_model
 from setvae.config import TrainConfig
-from setvae.data import gen_synthetic
+from setvae.data import batch_pad, gen_synthetic
+from setvae.model import SetVAE
 from setvae.training import (
     TrainingAborted,
     beta_schedule,
@@ -242,3 +246,84 @@ def test_loss_decreases_on_toy_data(tmp_path):
     lines = (out / "train_log.txt").read_text().strip().splitlines()
     recons = [parse_log_line(l)["recon"] for l in lines]
     assert np.mean(recons[-10:]) < np.mean(recons[:10])
+
+
+def assert_one_buffer(model):
+    """Every parameter's data is its view of the model's one vector, and
+    every trained one's gradient, once bound, its view of the other."""
+    buf = model.buffer
+    assert buf.params == model.params()
+    assert buf.data.shape == (buf.size,)
+    for s in buf.layout:
+        p = buf.params[s.name]
+        assert p.data.shape == s.shape and np.shares_memory(p.data, buf.data[s.span])
+        if buf.grad is not None and s.span.stop <= buf.trained:
+            assert np.shares_memory(p.grad, buf.grad[s.span])
+
+
+def test_parameters_stay_views_of_one_buffer(tmp_path, monkeypatch):
+    cfg, ds = toy_config(), toy_dataset()
+    saved = []
+    save_model = training.save_model
+
+    def checked_save(path, model, opt, step):
+        assert_one_buffer(model)
+        assert model.buffer.grad is not None and opt.m.shape == (model.buffer.trained,)
+        saved.append(step)
+        save_model(path, model, opt, step)
+
+    monkeypatch.setattr(training, "save_model", checked_save)
+    train(cfg, ds, tmp_path / "a")
+    train(cfg, ds, tmp_path / "b", resume=str(tmp_path / "a" / "ckpt_000005.svae"))
+    assert saved == [5, 10, 10]  # after steps, and after steps of a resume
+
+    assert_one_buffer(SetVAE(cfg.model_config(), T.Rng(0, "init"), dtype=np.float32))
+    model, opt, _ = load_model(tmp_path / "b" / "final.svae")
+    assert_one_buffer(model)
+    assert model.buffer.grad is None and opt.m is not None
+    frozen = _frozen_model(tmp_path / "b" / "final.svae")
+    assert_one_buffer(frozen)
+    assert frozen.buffer.grad is None
+    assert load_model(tmp_path / "b" / "final.svae", frozen=True)[1].m is None
+
+
+@pytest.mark.parametrize("grad_clip", [1.0, 0.0], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_flat_optimizer_matches_dict_reference(dtype, grad_clip):
+    # the whole-vector clip and Adam against the loop over named arrays,
+    # bit for bit, on the digest tool's small architecture
+    cfg = TrainConfig(d=16, d_z=4, heads=2, K=3, d0=8, enc_m=(8, 4), gen_m=(4, 8))
+    flat = SetVAE(cfg.model_config(), T.Rng(5, "init"), dtype=dtype)
+    ref = SetVAE(cfg.model_config(), T.Rng(5, "init"), dtype=dtype)
+    ref_params = ref.params()
+    sets = toy_dataset(seed=1, count=8).sets
+    x = batch_pad(sets, dtype=dtype)
+    flat_state, ref_state = T.AdamState(), DictAdamState()
+    clipped = 0
+    for step in range(5):
+        norms = []
+        for model in (flat, ref):
+            noise = model.draw_noise(x.cards, T.Rng(5, "noise", step))
+            x_hat, kls, _ = model.infer(x, noise)
+            loss = model.elbo_loss(x, x_hat, kls, beta=0.01)[0]
+            if model is flat:
+                flat.buffer.zero_grad()
+                loss.backward()
+                norms.append(T.clip_grads(flat.buffer, grad_clip))
+                T.adam_step(flat.buffer, flat_state, 1e-2)
+            else:
+                zero_grads(ref_params)
+                loss.backward()
+                grads = {k: p.grad for k, p in ref_params.items() if p.grad is not None}
+                norms.append(clip_grads_dict(grads, grad_clip))
+                adam_step_dict(ref_params, grads, ref_state, 1e-2)
+        assert norms[0] == norms[1]
+        clipped += grad_clip > 0 and norms[0] > grad_clip
+        for s in flat.buffer.layout:
+            got, want = flat.params()[s.name].data, ref_params[s.name].data
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), s.name
+        assert list(ref_state.m) == [s.name for s in flat.buffer.trained_slots]
+        for s in flat.buffer.trained_slots:
+            assert flat_state.m[s.span].tobytes() == ref_state.m[s.name].tobytes()
+            assert flat_state.v[s.span].tobytes() == ref_state.v[s.name].tobytes()
+    assert clipped == (5 if grad_clip else 0)

@@ -8,6 +8,9 @@ Runs, at one BLAS thread, on the `setvae` package in this checkout's
 - a small f32 model (d=16, two levels) trained for 6 steps on 30 sets of
   6-12 points, with a checkpoint at step 3, and a resume from that
   checkpoint into a second directory;
+- the same small model trained in f64, and in f32 with `grad_clip = 0`
+  (at the default clip of 5 the small run clips on five of its six
+  steps);
 - 3 default-config training steps at batch size 16;
 - `sample` from the stored histogram, and `sample --n 20 --fix-latents
   --temperature 0.5`, on the small model; on the default-config model,
@@ -106,6 +109,13 @@ def main(out: Path) -> int:
     cli("train_resume", "train", "--config", out / "small.cfg",
         "--data", small_data, "--out", out / "resume",
         "--resume", small / "ckpt_000003.svae")
+    for name, text in (
+        ("f64", SMALL_CONFIG.replace("dtype = f32", "dtype = f64")),
+        ("noclip", SMALL_CONFIG + "grad_clip = 0\n"),
+    ):
+        (out / f"small_{name}.cfg").write_text(text)
+        cli(f"train_small_{name}", "train", "--config", out / f"small_{name}.cfg",
+            "--data", small_data, "--out", out / f"small_{name}")
     cli("train_default", "train", "--config", out / "default.cfg",
         "--data", desk_data, "--out", out / "default")
     cli("sample_hist", "sample", "--ckpt", final, "--num-samples", 8,
