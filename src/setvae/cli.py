@@ -21,14 +21,13 @@ from . import tensor as T
 from .attention import ConfigError
 from .checkpoint import CheckpointError, load_model
 from .config import load_config
-from .data import Dataset, batch_pad, load_jsonl, save_jsonl, unpad
+from .data import Dataset, batch_pad, load_jsonl, save_jsonl
 from .metrics import chamfer, report
 from .model import Noise
 from .training import TrainingAborted, train
 
-RECONSTRUCT_BATCH = 16
-# element rows per `generate` call of `sample`: peak memory stays bounded
-# however many sets are asked for
+# element rows per model call of an inference command: peak memory stays
+# bounded however many sets there are
 SAMPLE_ROWS = 4096
 
 
@@ -60,6 +59,30 @@ def _stacked_noise(parts):
     )
 
 
+def _chunks(model, cards, rng, first_alone=False):
+    """(idx, noise) per model call over items of cardinalities `cards`.
+
+    Item i draws its noise from rng's fork ("gen", i) only, and shares a
+    call with items of its own size alone, at most SAMPLE_ROWS element
+    rows: padding would change the BLAS sums, so its bits would depend on
+    its neighbours. With `first_alone`, item 0 runs first and alone. With
+    no rng, for a pass that reads no noise, the noise is None.
+    """
+    chunks = [[0]] if first_alone and cards else []
+    by_size = {}
+    for i in range(len(chunks), len(cards)):
+        by_size.setdefault(cards[i], []).append(i)
+    for n, idx in by_size.items():
+        k = max(1, SAMPLE_ROWS // max(n, 1))  # draw_noise rejects n < 1
+        chunks += [idx[s : s + k] for s in range(0, len(idx), k)]
+    for idx in chunks:
+        n = cards[idx[0]]
+        if rng is None:
+            yield idx, None
+        else:
+            yield idx, _stacked_noise([model.draw_noise([n], rng.fork("gen", i)) for i in idx])
+
+
 def cmd_sample(args) -> int:
     model = _frozen_model(args.ckpt)
     if args.n is None and model.card_dist is None:
@@ -71,23 +94,12 @@ def cmd_sample(args) -> int:
         args.n if args.n is not None else model.card_dist.sample(rng.fork("card", i))
         for i in range(args.num_samples)
     ]
-    # set i draws from forks (seed, i) only, and shares a `generate` call
-    # with sets of its own size alone: padding would change the BLAS sums,
-    # so its bits would depend on its neighbours. Sample 0 runs first and
-    # alone when its latents pin the rest.
-    chunks = [[0]] if args.fix_latents and cards else []
-    by_size = {}
-    for i in range(len(chunks), len(cards)):
-        by_size.setdefault(cards[i], []).append(i)
-    for n, idx in by_size.items():
-        k = max(1, SAMPLE_ROWS // max(n, 1))  # draw_noise rejects n < 1
-        chunks += [idx[s : s + k] for s in range(0, len(idx), k)]
+    # sample 0 runs first and alone when its latents pin the rest
     sets, fixed_z = [None] * len(cards), None
-    for idx in chunks:
-        n = cards[idx[0]]
-        noise = _stacked_noise([model.draw_noise([n], rng.fork("gen", i)) for i in idx])
+    for idx, noise in _chunks(model, cards, rng, first_alone=args.fix_latents):
         out, lat = model.generate(
-            [n] * len(idx), noise, temperature=args.temperature, fixed_z=fixed_z
+            [cards[idx[0]]] * len(idx), noise,
+            temperature=args.temperature, fixed_z=fixed_z,
         )
         if args.fix_latents and fixed_z is None:
             fixed_z = [lvl["z"][0] for lvl in lat.levels]
@@ -119,30 +131,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _batches(ds, model, seed, tag):
-    """(start, chunk, batch, rng) per chunk of RECONSTRUCT_BATCH sets; the
-    chunk's noise comes from Rng(seed, tag, start)."""
-    for start in range(0, len(ds), RECONSTRUCT_BATCH):
-        chunk = ds.sets[start : start + RECONSTRUCT_BATCH]
-        batch = batch_pad(chunk, dtype=model.dtype)
-        yield start, chunk, batch, T.Rng(seed, tag, start)
-
-
 def cmd_reconstruct(args) -> int:
     model = _frozen_model(args.ckpt)
     ds = load_jsonl(args.data)
     csv_path = args.out + ".metrics.csv"
-    recons = []
-    rows = []
-    for start, chunk, batch, rng in _batches(ds, model, args.seed, "reconstruct"):
-        x_hat, kls, _ = model.infer(batch, model.draw_noise(batch.cards, rng))
-        outs = unpad(x_hat)
-        for b, (x, xh) in enumerate(zip(chunk, outs)):
-            recons.append(xh.astype(np.float64))
-            rows.append(
-                [start + b, chamfer(x, xh)]
-                + [float(kl.data[b]) for kl in kls]
-            )
+    recons, rows = [None] * len(ds), [None] * len(ds)
+    for idx, noise in _chunks(model, ds.cards, T.Rng(args.seed, "reconstruct")):
+        batch = batch_pad([ds.sets[i] for i in idx], dtype=model.dtype)  # one size
+        x_hat, kls, _ = model.infer(batch, noise)
+        for b, i in enumerate(idx):
+            xh = x_hat.elems.data[b]
+            recons[i] = xh.astype(np.float64)
+            rows[i] = [i, chamfer(ds.sets[i], xh)] + [float(kl.data[b]) for kl in kls]
     save_jsonl(Dataset(recons), args.out)
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
@@ -156,23 +156,24 @@ def cmd_attn_export(args) -> int:
     model = _frozen_model(args.ckpt)
     ds = load_jsonl(args.data)
     coord_cols = ["px", "py"] + (["pz"] if ds.dim == 3 else [])
-    rows = []
-    for start, _, batch, rng in _batches(ds, model, args.seed, "attn"):
+    per_set = [None] * len(ds)
+    rng = T.Rng(args.seed, "attn") if args.side == "generator" else None
+    for idx, noise in _chunks(model, ds.cards, rng):
+        batch = batch_pad([ds.sets[i] for i in idx], dtype=model.dtype)  # one size
         ids, coords = model.attn_assignments(
-            batch, args.level, args.side, head=args.head, rng=rng
+            batch, args.level, args.side, head=args.head, noise=noise
         )
-        for b, n in enumerate(batch.cards):
-            for j in range(n):
-                rows.append(
-                    [start + b]
-                    + [repr(float(v)) for v in coords[b, j]]
-                    + [int(ids[b, j])]
-                )
+        for b, i in enumerate(idx):
+            per_set[i] = [
+                [i] + [repr(float(v)) for v in c] + [int(a)]
+                for c, a in zip(coords[b], ids[b])
+            ]
     # every row exists before the file does, so a failure leaves no file
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["set_id"] + coord_cols + ["assignment"])
-        w.writerows(rows)
+        for rows in per_set:
+            w.writerows(rows)
     print(f"wrote assignments to {args.out}")
     return 0
 
@@ -237,8 +238,10 @@ def main(argv=None) -> int:
         TrainingAborted,
         ValueError,
         OSError,
+        MemoryError,
     ) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # a bare MemoryError carries no message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -166,9 +166,5 @@ def batch_pad(sets: list, dtype=np.float64) -> SetBatch:
     return SetBatch(elems, cards)
 
 
-def unpad(batch: SetBatch) -> list:
-    return [np.array(batch.elems.data[b, :n]) for b, n in enumerate(batch.cards)]
-
-
 def cardinality_histogram(ds: Dataset) -> CardinalityDist:
     return CardinalityDist.from_cards(ds.cards)

@@ -16,8 +16,8 @@ learned function of h + h_enc. The initial set is drawn from the prior
 Randomness enters a pass in one place: `SetVAE.draw_noise(cards, rng)`
 draws a `Noise` (the mixture component and the Gaussian noise of every
 initial element, one standard normal per latent entry of every level),
-and `generate` and `infer` take that `Noise` as plain arrays. Fixed
-arrays give a fixed pass.
+and `generate`, `infer` and `attn_assignments` take that `Noise` as
+plain arrays. Fixed arrays give a fixed pass.
 
 The objective is two-way squared-nearest-neighbor reconstruction plus a
 beta-weighted sum of per-level KL terms.
@@ -531,15 +531,15 @@ class SetVAE:
         level: int,
         side: str,
         head: int = 0,
-        rng: T.Rng | None = None,
+        noise: Noise | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Argmax inducing-point id per point at one projection.
 
         Returns (ids, coords), both (B, n_max[, dim]): input coordinates
         for the encoder side, reconstructed coordinates for the generator
         side (whose elements track the top-down stream, not the input).
-        Ties break toward the lowest id. `rng` draws the generator side's
-        noise; the encoder side draws none.
+        Ties break toward the lowest id. The generator side reconstructs x
+        with `noise`, as `infer` does; the encoder side reads none.
         """
         if side not in ("encoder", "generator"):
             raise ValueError(f"unknown side '{side}', expected encoder or generator")
@@ -552,7 +552,7 @@ class SetVAE:
                 x_in = self._encode_trace(x)[1][level]
                 coords = x.elems.data
             else:
-                x_hat, _, lat = self.infer(x, self.draw_noise(x.cards, rng))
+                x_hat, _, lat = self.infer(x, noise)
                 x_in = T.as_tensor(lat.levels[level]["x_in"])
                 coords = x_hat.elems.data
             w = multihead_head_weights(

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -14,7 +15,9 @@ from helpers import tape_nodes
 from setvae import cli
 from setvae.checkpoint import load_model, save_model
 from setvae.config import TrainConfig
-from setvae.data import batch_pad, cardinality_histogram, gen_synthetic, load_jsonl, save_jsonl
+from setvae.data import (
+    Dataset, batch_pad, cardinality_histogram, gen_synthetic, load_jsonl, save_jsonl,
+)
 from setvae.model import ModelConfig, SetVAE
 from setvae.training import parse_log_line
 
@@ -239,33 +242,115 @@ def test_sample_prefix_property(desk_ckpt, tmp_path):
     assert lines[12][:1] == lines[1] and lines[12][:7] == lines[7]
 
 
+def save_sizes(path, cards, seed=0):
+    """A file of sets of the given cardinalities, points in the unit box."""
+    rng = T.Rng(seed, "sizes")
+    save_jsonl(Dataset([rng.fork(i).uniform(0.0, 1.0, (n, 2)) for i, n in enumerate(cards)]), path)
+
+
 @pytest.mark.parametrize(
-    "flags, batches",
+    "command, flags, batches",
     [
-        (["--n", 4], [2, 2, 2, 1]),
-        (["--n", 4, "--fix-latents"], [1, 2, 2, 2]),
-        (["--n", 20], [1] * 7),  # a set wider than the cap runs alone
+        ("sample", ["--n", 4], [2, 2, 2, 1]),
+        ("sample", ["--n", 4, "--fix-latents"], [1, 2, 2, 2]),
+        ("sample", ["--n", 20], [1] * 7),  # a set wider than the cap runs alone
+        # sizes 4, 4, 5, 4, 20, 4, 5: the 4s pair up, wider sets run alone
+        ("reconstruct", [], [2, 2, 1, 1, 1]),
+        ("attn-export", ["--level", 0, "--side", "generator"], [2, 2, 1, 1, 1]),
     ],
-    ids=["cap", "fix-latents", "wide"],
+    ids=["cap", "fix-latents", "wide", "reconstruct", "attn-export"],
 )
 def test_sample_batches_by_cardinality(
-    workspace, tmp_path, monkeypatch, flags, batches
+    workspace, tmp_path, monkeypatch, command, flags, batches
 ):
     monkeypatch.setattr(cli, "SAMPLE_ROWS", 8)
     seen = []
-    generate = SetVAE.generate
+    method = "generate" if command == "sample" else "infer"
+    wrapped = getattr(SetVAE, method)
 
-    def counting(self, cards, *args, **kw):
+    def counting(self, first, *args, **kw):
+        cards = first if command == "sample" else first.cards
         assert len(set(cards)) == 1  # never padded
+        assert len(cards) == 1 or len(cards) * cards[0] <= cli.SAMPLE_ROWS
         seen.append(len(cards))
-        return generate(self, cards, *args, **kw)
+        return wrapped(self, first, *args, **kw)
 
-    monkeypatch.setattr(SetVAE, "generate", counting)
-    out = tmp_path / "s.jsonl"
-    assert cli.main(["sample", "--ckpt", str(workspace["ckpt"]), "--num-samples", "7",
+    monkeypatch.setattr(SetVAE, method, counting)
+    if command == "sample":
+        inputs = ["--num-samples", "7"]
+    else:
+        save_sizes(tmp_path / "mixed.jsonl", [4, 4, 5, 4, 20, 4, 5])
+        inputs = ["--data", str(tmp_path / "mixed.jsonl")]
+    out = tmp_path / "out"
+    assert cli.main([command, "--ckpt", str(workspace["ckpt"]), *inputs,
                      *map(str, flags), "--out", str(out)]) == 0
     assert seen == batches
-    assert len(load_jsonl(out)) == 7
+    if command == "attn-export":  # a header, then one row per point
+        assert len(out.read_text().splitlines()) == 1 + 46
+    else:
+        assert len(load_jsonl(out)) == 7
+
+
+def inference_rows(ckpt, data, out_dir) -> dict:
+    """Each set's lines in every output file of `reconstruct` and of
+    `attn-export` at both sides: {file name: [set 0's lines, ...]}."""
+    commands = {
+        "recon.jsonl": ["reconstruct"],
+        "attn_enc.csv": ["attn-export", "--level", "1", "--side", "encoder"],
+        "attn_gen.csv": ["attn-export", "--level", "1", "--side", "generator"],
+    }
+    out_dir.mkdir()
+    for name, command in commands.items():
+        assert cli.main([command[0], "--ckpt", str(ckpt), "--data", str(data),
+                         *command[1:], "--seed", "3", "--out", str(out_dir / name)]) == 0
+    rows = {}
+    for path in sorted(out_dir.iterdir()):
+        lines = path.read_bytes().splitlines()
+        if path.suffix == ".jsonl":
+            rows[path.name] = [[line] for line in lines]
+        else:  # a header, then rows keyed by set_id
+            per_set = {}
+            for line in lines[1:]:
+                per_set.setdefault(int(line.split(b",")[0]), []).append(line)
+            rows[path.name] = [per_set[i] for i in sorted(per_set)]
+    assert len(rows) == 4  # with recon.jsonl.metrics.csv
+    return rows
+
+
+def test_inference_output_depends_on_the_set_alone(desk_ckpt, tmp_path):
+    # sizes repeat, so sets share calls; set 1 then gets a size of its own
+    cards = [33, 34, 33, 35, 34, 33, 35, 34, 33, 34, 35, 33, 34, 35, 33, 34]
+    save_sizes(tmp_path / "a.jsonl", cards)
+    ds = load_jsonl(tmp_path / "a.jsonl")
+    ds.sets[1] = T.Rng(1, "other").uniform(0.0, 1.0, (40, 2))
+    save_jsonl(ds, tmp_path / "b.jsonl")
+    a = inference_rows(desk_ckpt, tmp_path / "a.jsonl", tmp_path / "ra")
+    b = inference_rows(desk_ckpt, tmp_path / "b.jsonl", tmp_path / "rb")
+    for key in a:
+        assert len(a[key]) == len(b[key]) == 16
+        assert a[key][1] != b[key][1], key
+        assert a[key][:1] + a[key][2:] == b[key][:1] + b[key][2:], key
+
+
+def test_reconstruct_prefix_property(desk_ckpt, tmp_path):
+    # set i depends on the seed, i and set i alone, not on the sets after it
+    cards = [40, 33, 40, 33, 36, 40, 33, 36, 40, 33, 36, 40]
+    lines = {}
+    for k in (1, 7, 12):
+        data = tmp_path / f"first{k}.jsonl"
+        save_sizes(data, cards[:k])
+        out = tmp_path / f"recon{k}.jsonl"
+        assert cli.main(["reconstruct", "--ckpt", str(desk_ckpt), "--data", str(data),
+                         "--out", str(out)]) == 0
+        lines[k] = (
+            out.read_bytes().splitlines(),
+            (tmp_path / f"recon{k}.jsonl.metrics.csv").read_bytes().splitlines(),
+        )
+    recon, metrics = lines[12]
+    assert len(recon) == 12 and len(metrics) == 13
+    for k in (1, 7):
+        assert recon[:k] == lines[k][0]
+        assert metrics[: k + 1] == lines[k][1]
 
 
 def test_frozen_model_builds_no_tape(workspace):
@@ -509,6 +594,39 @@ def test_missing_files_are_reported(workspace, tmp_path):
 
     res = run_cli("eval", "--gen", tmp_path / "a.jsonl", "--ref", tmp_path / "b.jsonl")
     assert res.returncode == 1 and res.stderr.startswith("error:")
+
+
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        # the first weight matrix alone asks for 1.16 TiB
+        ["train", "--config", "{big}", "--data", "{data}"],
+        # the first noise draw alone asks for 8 GB
+        ["sample", "--ckpt", "{ckpt}", "--num-samples", "1", "--n", "1000000000"],
+    ],
+    ids=["train", "sample"],
+)
+def test_out_of_memory_is_one_error_line(workspace, tmp_path, command):
+    # only ever under the cap: unbounded, these would take the machine's memory
+    big = tmp_path / "big.cfg"
+    big.write_text("d = 400000\nsteps = 1\n")
+    paths = {"big": big, "data": workspace["data"], "ckpt": workspace["ckpt"]}
+    out = tmp_path / "out"
+    res = subprocess.run(
+        [sys.executable, "-m", "setvae.cli",
+         *(a.format(**paths) for a in command), "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=_capped_address_space,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: Unable to allocate")
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in res.stderr
+    # train makes its run directory first; no file lands in it
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_malformed_data_is_reported(workspace, tmp_path):

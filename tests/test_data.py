@@ -13,7 +13,6 @@ from setvae.data import (
     gen_synthetic,
     load_jsonl,
     save_jsonl,
-    unpad,
 )
 
 
@@ -175,9 +174,8 @@ def test_batch_pad_masks_and_round_trip():
     assert batch.elems.shape == (2, 3, 2)
     assert batch.mask.tolist() == [[True, True, False], [True, True, True]]
     assert np.all(batch.elems.data[0, 2] == 0.0)
-    back = unpad(batch)
-    for s, t in zip(sets, back):
-        assert np.array_equal(s, t)
+    for b, (s, n) in enumerate(zip(sets, batch.cards)):
+        assert np.array_equal(s, batch.elems.data[b, :n])
 
 
 def test_batch_pad_dtype_and_errors():

@@ -524,7 +524,7 @@ def test_attn_assignments_generator_and_errors():
     model = SetVAE(small_config(), T.Rng(3, "init"))
     x = batch_from([T.Rng(1, "pts").normal((5, 2))])
     ids, coords = model.attn_assignments(
-        x, level=1, side="generator", rng=T.Rng(4, "r")
+        x, level=1, side="generator", noise=model.draw_noise(x.cards, T.Rng(4, "r"))
     )
     assert ids.shape == (1, 5)
     assert np.all((ids >= 0) & (ids < model.cfg.gen_m[1]))
