@@ -15,13 +15,17 @@ set against a block of whole sets at once: the block's points are the
 columns of one coordinate-major (dim, m) array, each set's row minima come
 from `np.minimum.reduceat`, and each set's minima are summed contiguously.
 A block holds about BLOCK_ENTRIES squared distances; a set too large for
-that is a block of its own. The blocks are planned first, and one
-workspace sized to the largest of them serves every block, so a matrix
-allocates its large arrays once, not once per block. The column minima of
-a chunk of rows, about CHUNK_ENTRIES of them, go into one buffer, and each
-column set's minima are summed once per chunk, one contiguous row per
-pair. Every entry is therefore summed as for a single pair, in the same
-order, and `chamfer` is the one-pair case of the matrix.
+that is a block of its own, and runs against its row set a tile of rows
+at a time, each tile about BLOCK_ENTRIES entries, so memory stays flat in
+the size of a set. A row's minimum always runs over the whole block, its
+forward minima land in one buffer per block, and column minima combine
+across tiles with `np.minimum`, which is exact. The blocks are planned
+first, and one workspace sized to the largest tile serves every block, so
+a matrix allocates its large arrays once, not once per block. The column
+minima of a chunk of rows, about CHUNK_ENTRIES of them, go into one
+buffer, and each column set's minima are summed once per chunk, one
+contiguous row per pair. Every entry is therefore summed as for a single
+pair, in the same order, and `chamfer` is the one-pair case of the matrix.
 
 EMD checks the whole population once (equal set sizes, at most
 EMD_MAX_POINTS points) and then solves its matchings a block at a time:
@@ -32,11 +36,11 @@ as when solved alone, so its permutation and distance are bitwise those of
 the single pair.
 
 `report` computes one pooled matrix of (|Sg| + |Sr|)^2 set distances: its
-Sg x Sr block gives MMD and COV, the whole gives 1-NNA. Chamfer is bitwise
-symmetric, so each unordered pair is computed once and mirrored. EMD is
-not (its matching's bits depend on the order), so it runs every ordered
-pair off the diagonal. The pair count grows quadratically with population
-size. Nearest-neighbor ties break toward the lowest index.
+Sg x Sr block gives MMD and COV, the whole gives 1-NNA. For either
+distance, a population against itself computes each unordered pair i < j
+once and mirrors it, d[j, i] = d[i, j]. The pair count grows
+quadratically with population size. Nearest-neighbor ties break toward
+the lowest index.
 """
 
 from __future__ import annotations
@@ -175,33 +179,51 @@ def _chamfer_blocks(A: list, bounds: np.ndarray, same: bool) -> list:
     return plan
 
 
+def _tile_rows(width: int) -> int:
+    """Rows of a row set run at once against a block `width` columns wide:
+    the whole set, unless the block is one set too large for BLOCK_ENTRIES."""
+    return max(1, BLOCK_ENTRIES // width)
+
+
 def _chamfer_matrix(A: list, B: list, same: bool) -> np.ndarray:
     cols = np.concatenate([y.T for y in B], axis=1)
     bounds = np.cumsum([0] + [len(y) for y in B])
     plan = _chamfer_blocks(A, bounds, same)
-    # one workspace for every block, sized to the largest one planned
-    sizes = [len(A[i]) * (bounds[k] - bounds[j]) for i, r in enumerate(plan) for j, k in r]
-    work = np.empty(2 * max(sizes))
+    # (rows, sets, columns) of each block; one workspace for every tile, and
+    # one buffer for every block's forward minima, sized to the largest
+    blocks = [
+        (len(A[i]), k - j, bounds[k] - bounds[j])
+        for i, r in enumerate(plan)
+        for j, k in r
+    ]
+    work = np.empty(2 * max(min(n, _tile_rows(w)) * w for n, _, w in blocks))
+    fwd_buf = np.empty(max(n * sets for n, sets, _ in blocks))
     chunk = max(1, CHUNK_ENTRIES // cols.shape[1])  # rows per chunk
     mins = np.zeros((chunk, cols.shape[1]))  # column minima of a chunk's rows
     d = np.empty((len(A), len(B)))
     for r0 in range(0, len(A), chunk):
         r1 = min(r0 + chunk, len(A))
         for i in range(r0, r1):
+            x = A[i]
             for j, k in plan[i]:
                 s, e = bounds[j], bounds[k]
-                d2 = _sq_dists(A[i], cols[:, s:e], work)
+                fwd = fwd_buf[: (k - j) * len(x)].reshape(k - j, len(x))
+                col_min = mins[i - r0, s:e]
+                step = _tile_rows(e - s)
+                for t in range(0, len(x), step):
+                    d2 = _sq_dists(x[t : t + step], cols[:, s:e], work)
+                    # a row's minimum runs over the whole block
+                    fwd[:, t : t + step] = np.minimum.reduceat(d2, bounds[j:k] - s, 1).T
+                    if t == 0:
+                        np.minimum.reduce(d2, axis=0, out=col_min)
+                    else:  # exact, so the tiles combine in any order
+                        np.minimum(col_min, d2.min(axis=0), out=col_min)
                 # each set's minima summed as one contiguous row, as for one pair
-                fwd = np.minimum.reduceat(d2, bounds[j:k] - s, axis=1)
-                d[i, j:k] = fwd.T.copy().sum(axis=1)
-                np.minimum.reduce(d2, axis=0, out=mins[i - r0, s:e])
+                d[i, j:k] = fwd.sum(axis=1)
         # each row of mins[:h, s:e] is contiguous, so its sum is a single pair's
         for j in range(r0 if same else 0, len(B)):
             h = (min(r1, j + 1) if same else r1) - r0  # the chunk's rows that ran j
             d[r0 : r0 + h, j] += mins[:h, bounds[j] : bounds[j + 1]].sum(axis=1)
-    if same:
-        lower = np.tril_indices(len(A), -1)
-        d[lower] = d.T[lower]
     return d
 
 
@@ -219,7 +241,7 @@ def _emd_matrix(A: list, B: list, same: bool) -> np.ndarray:
         )
     pairs = np.ones((len(A), len(B)), dtype=bool)
     if same:
-        np.fill_diagonal(pairs, False)  # a set is 0 from itself
+        pairs = np.triu(pairs, 1)  # a set is 0 from itself
     rows, cols = np.nonzero(pairs)
     size = max(1, min(len(rows), EMD_BLOCK_ENTRIES // (n * n)))  # pairs per block
     cost = np.empty((size, n, n))
@@ -242,8 +264,9 @@ def pairwise_dists(A: list, B: list, distance: str = "cd") -> np.ndarray:
     """(|A|, |B|) distance matrix; each set is checked once.
 
     Passing one list as both A and B asks for a population against itself:
-    Chamfer then computes each unordered pair once and mirrors it, and EMD
-    leaves the diagonal at 0, a set's distance to itself, with no matching.
+    each unordered pair i < j is then computed once and mirrored to d[j, i].
+    EMD leaves the diagonal at 0, a set's distance to itself, with no
+    matching.
     """
     if not A or not B:
         raise ValueError("empty population")
@@ -255,7 +278,11 @@ def pairwise_dists(A: list, B: list, distance: str = "cd") -> np.ndarray:
     A = [_check_pointset(x, "x") for x in A]
     B = A if same else [_check_pointset(y, "y") for y in B]
     _check_dims(A[0].shape[1], A if same else A + B)
-    return matrix(A, B, same)
+    d = matrix(A, B, same)
+    if same:
+        lower = np.tril_indices(len(A), -1)
+        d[lower] = d.T[lower]
+    return d
 
 
 def _mmd(d: np.ndarray) -> float:

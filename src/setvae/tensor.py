@@ -28,6 +28,7 @@ gradient vector.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass
@@ -59,12 +60,16 @@ class Rng:
     """
 
     def __init__(self, seed: int, *path):
-        tag = f"{int(seed)}/" + "/".join(str(p) for p in path)
-        digest = hashlib.sha256(tag.encode("utf-8")).digest()
-        key = int.from_bytes(digest[:16], "little")
         self.seed = int(seed)
         self.path = tuple(path)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        # built on the first draw: a stream that only forks never pays for it
+        tag = f"{self.seed}/" + "/".join(str(p) for p in self.path)
+        digest = hashlib.sha256(tag.encode("utf-8")).digest()
+        key = int.from_bytes(digest[:16], "little")
+        return np.random.Generator(np.random.Philox(key=key))
 
     def fork(self, *path) -> "Rng":
         """Derive an independent stream keyed by the extended path."""

@@ -276,6 +276,14 @@ def test_sample_batches_by_cardinality(
         return wrapped(self, first, *args, **kw)
 
     monkeypatch.setattr(SetVAE, method, counting)
+    philox = []
+    make_philox = np.random.Philox
+
+    def counted_philox(*args, **kw):
+        philox.append(1)
+        return make_philox(*args, **kw)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
     if command == "sample":
         inputs = ["--num-samples", "7"]
     else:
@@ -285,6 +293,10 @@ def test_sample_batches_by_cardinality(
     assert cli.main([command, "--ckpt", str(workspace["ckpt"]), *inputs,
                      *map(str, flags), "--out", str(out)]) == 0
     assert seen == batches
+    if command == "sample":
+        # per set, the streams that draw: assign, eps and the one latent
+        # level; the forks in between ("gen", i) and "z0" build no generator
+        assert len(philox) == 7 * 3
     if command == "attn-export":  # a header, then one row per point
         assert len(out.read_text().splitlines()) == 1 + 46
     else:

@@ -315,8 +315,8 @@ def test_report_evaluates_each_pair_at_most_once(monkeypatch):
 
     monkeypatch.setattr(metrics, "hungarian", counted_hungarian)
     r = report(Eg, Er, "emd")
-    # each ordered pair off the diagonal once
-    assert 0 < sum(matchings) <= pooled * (pooled - 1)
+    # each unordered pair off the diagonal once, mirrored as for Chamfer
+    assert sum(matchings) == pooled * (pooled - 1) // 2
     assert (r.mmd, r.cov, r.one_nna) == (
         mmd(Eg, Er, "emd"), cov(Eg, Er, "emd"), one_nna(Eg, Er, "emd")
     )
@@ -356,7 +356,9 @@ def chamfer_cases():
     return cases
 
 
-@pytest.mark.parametrize("block", [metrics.BLOCK_ENTRIES, 64, 1])
+# below the default, a set too large for a block runs a few rows at a time:
+# 700 gives the 200-point sets 3-row tiles and a 2-row remainder
+@pytest.mark.parametrize("block", [metrics.BLOCK_ENTRIES, 700, 64, 1])
 def test_block_path_matches_chamfer_pairs(monkeypatch, chamfer_cases, block):
     monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block)
     # a population against itself, with most rows of the column minima unused
@@ -398,6 +400,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert int(res.stdout) <= 5000  # minor page faults over one 100-set matrix
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_chamfer_pair_memory_flat_in_set_size():
+    # row tiles keep the workspace to about BLOCK_ENTRIES squared distances;
+    # a whole-set workspace peaked at 278 MB for a 4,000-point pair, and
+    # would need about 6.4 GB for this one
+    script = """
+import resource
+import numpy as np
+from setvae.metrics import chamfer
+rng = np.random.default_rng(0)
+chamfer(rng.normal(size=(20000, 2)), rng.normal(size=(20000, 2)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 100 * 1024  # peak RSS in KiB; about 36 MB here
+
+
 @pytest.mark.parametrize("block", [metrics.EMD_BLOCK_ENTRIES, 200, 1])
 def test_block_path_matches_emd_pairs(monkeypatch, block):
     # 200 entries hold five 6 x 6 matchings; 1 gives each pair its own block
@@ -413,8 +437,20 @@ def test_block_path_matches_emd_pairs(monkeypatch, block):
     grid = rng.integers(-2, 3, size=(6, 2)).astype(np.float64)
     A += [grid, grid.copy(), grid[::-1].copy()]
     B += [grid + 1.0]
-    for P, Q in ((A, B), (B, A), (A, A[::-1]), (A, A), (B, B)):
+    for P, Q in ((A, B), (B, A), (A, A[::-1])):
         assert np.array_equal(pairwise_dists(P, Q, "emd"), loops(P, Q))
+    # tie-heavy: integer points in [-1, 1] and a permuted copy of one set,
+    # where a matching's cost summed in another order moves the last bits
+    ties = []
+    for n in range(2, 9):
+        sets = [rng.integers(-1, 2, size=(n, 2)).astype(np.float64) for _ in range(5)]
+        ties.append(sets + [sets[0][rng.permutation(n)]])
+    # a population against itself solves each pair i < j and mirrors it
+    for P in [A, B] + ties:
+        d = pairwise_dists(P, P, "emd")
+        upper = np.triu(loops(P, P), 1)
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(d, upper + upper.T)
 
 
 def test_population_error_cases():

@@ -20,7 +20,8 @@ Runs, at one BLAS thread, on the `setvae` package in this checkout's
 - `reconstruct`, and `attn-export` on the encoder and the generator side;
 - `eval --distance cd` on 16 vs 16 and on 60 vs 60 sets of 32-64
   points (the 120 pooled sets span several chunks of Chamfer rows), and
-  `eval --distance emd` on 8 vs 8 sets of 16 points (`eval` prints
+  `eval --distance emd` on 8 vs 8 sets of 16 points and on 12 vs 12 sets
+  of 24 points (276 matchings, more than one block of 227) (`eval` prints
   full-precision floats, so a last-bit change shows);
 - `save_model` of the default config initialised at seed 0.
 
@@ -139,6 +140,7 @@ def main(out: Path) -> int:
         ("cd", "cd", 16, (32, 64)),
         ("cd_chunks", "cd", 60, (32, 64)),
         ("emd", "emd", 8, (16, 16)),
+        ("emd_blocks", "emd", 12, (24, 24)),
     ):
         gen, ref = out / f"eval_{name}_gen.jsonl", out / f"eval_{name}_ref.jsonl"
         corpus(gen, count, n_range, 6)
