@@ -172,12 +172,6 @@ def _scores(q: Tensor, k: Tensor) -> Tensor:
     return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
 
 
-def slot_attention_parts(Q: Tensor, K: Tensor, key_mask=None) -> tuple[Tensor, Tensor]:
-    """(column-normalized A', row-renormalized W') for raw Q, K."""
-    scores = _scores(Q, K)
-    return _slot_parts(scores, _key_mask_for_scores(key_mask, scores.ndim))
-
-
 def _attention_weights(scores: Tensor, key_mask, slot: bool) -> Tensor:
     mask = _key_mask_for_scores(key_mask, scores.ndim)
     if slot:

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .attention import ConfigError
 from .checkpoint import CheckpointError, load_model
 from .config import load_config
 from .data import Dataset, batch_pad, load_jsonl, save_jsonl
@@ -84,6 +83,8 @@ def _chunks(model, cards, rng, first_alone=False):
 
 
 def cmd_sample(args) -> int:
+    if args.num_samples < 1:
+        raise ValueError(f"--num-samples must be at least 1, got {args.num_samples}")
     model = _frozen_model(args.ckpt)
     if args.n is None and model.card_dist is None:
         raise ValueError(
@@ -232,14 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        CheckpointError,
-        TrainingAborted,
-        ValueError,
-        OSError,
-        MemoryError,
-    ) as e:
+    except (CheckpointError, TrainingAborted, ValueError, OSError, MemoryError) as e:
         # a bare MemoryError carries no message
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1

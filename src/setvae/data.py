@@ -10,6 +10,7 @@ so downstream attention never mixes padding into real elements.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,4 +168,4 @@ def batch_pad(sets: list, dtype=np.float64) -> SetBatch:
 
 
 def cardinality_histogram(ds: Dataset) -> CardinalityDist:
-    return CardinalityDist.from_cards(ds.cards)
+    return CardinalityDist(Counter(ds.cards))

@@ -285,29 +285,6 @@ def pairwise_dists(A: list, B: list, distance: str = "cd") -> np.ndarray:
     return d
 
 
-def _mmd(d: np.ndarray) -> float:
-    return float(d.min(axis=0).mean())
-
-
-def _cov(d: np.ndarray) -> float:
-    return float(len(np.unique(d.argmin(axis=1))) / d.shape[1])
-
-
-def mmd(Sg: list, Sr: list, distance: str = "cd") -> float:
-    """Mean over references of the distance to the closest generated set."""
-    return _mmd(pairwise_dists(Sg, Sr, distance))
-
-
-def cov(Sg: list, Sr: list, distance: str = "cd") -> float:
-    """Fraction of references that are some generated set's argmin."""
-    return _cov(pairwise_dists(Sg, Sr, distance))
-
-
-def one_nna(Sg: list, Sr: list, distance: str = "cd") -> float:
-    """Nearest-neighbor two-sample accuracy on the pooled populations."""
-    return report(Sg, Sr, distance).one_nna
-
-
 def report(Sg: list, Sr: list, distance: str = "cd") -> MetricReport:
     """All three scores from one pooled matrix of (|Sg| + |Sr|)^2 distances."""
     if len(Sg) != len(Sr):
@@ -318,8 +295,8 @@ def report(Sg: list, Sr: list, distance: str = "cd") -> MetricReport:
     np.fill_diagonal(d, np.inf)
     labels = np.arange(len(pooled)) >= len(Sg)
     return MetricReport(
-        mmd=_mmd(cross),
-        cov=_cov(cross),
+        mmd=float(cross.min(axis=0).mean()),
+        cov=float(len(np.unique(cross.argmin(axis=1))) / cross.shape[1]),
         one_nna=float(np.mean(labels[d.argmin(axis=1)] == labels)),
         distance=distance.lower(),
     )

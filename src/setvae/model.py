@@ -143,13 +143,6 @@ class CardinalityDist:
         self.counts = dict(sorted(counts.items()))
         self.total = sum(self.counts.values())
 
-    @staticmethod
-    def from_cards(cards) -> "CardinalityDist":
-        counts: dict[int, int] = {}
-        for n in cards:
-            counts[int(n)] = counts.get(int(n), 0) + 1
-        return CardinalityDist(counts)
-
     def prob(self, n: int) -> float:
         return self.counts.get(int(n), 0) / self.total
 
@@ -276,11 +269,6 @@ def gaussian_kl_elems(mu_q, sigma_q, mu_p, sigma_p) -> Tensor:
     )))
 
 
-def gaussian_kl(mu_q, sigma_q, mu_p, sigma_p) -> Tensor:
-    """Total KL between diagonal Gaussians, summed over all entries."""
-    return T.sum_all(gaussian_kl_elems(mu_q, sigma_q, mu_p, sigma_p))
-
-
 def _split_stats(stats: Tensor, d_z: int) -> tuple[Tensor, Tensor]:
     mu = T.narrow(stats, -1, 0, d_z)
     logsig = T.clamp(T.narrow(stats, -1, d_z, d_z), LOGSIG_LO, LOGSIG_HI)
@@ -391,18 +379,16 @@ class SetVAE:
     # Bottom-up encoder
     # ------------------------------------------------------------------
 
-    def _encode_trace(self, x: SetBatch) -> tuple[list[Tensor], list[Tensor]]:
+    def encode(self, x: SetBatch) -> tuple[list[Tensor], list[Tensor]]:
+        """(hs, x_ins): the projected set h and the input of every encoder
+        level, shallow to deep."""
         cur = T.affine(x.elems, self.enc_in_w, self.enc_in_b)
-        hs, xins = [], []
+        hs, x_ins = [], []
         for level in self.enc_levels:
-            xins.append(cur)
+            x_ins.append(cur)
             cur, h = isab(cur, level.I, level.proj, level.broad, mask=x.mask)
             hs.append(h)
-        return hs, xins
-
-    def encode(self, x: SetBatch) -> list[Tensor]:
-        """Projected sets h at every encoder level, shallow to deep."""
-        return self._encode_trace(x)[0]
+        return hs, x_ins
 
     # ------------------------------------------------------------------
     # Noise and the initial set
@@ -523,7 +509,8 @@ class SetVAE:
     ) -> tuple[SetBatch, list[Tensor], LatentHierarchy]:
         """Reconstruct x; returns per-set KL (B,) for every level."""
         with _finite_pass():
-            return self._top_down(x.cards, noise, noise.levels, h_encs=self.encode(x))
+            hs, _ = self.encode(x)
+            return self._top_down(x.cards, noise, noise.levels, h_encs=hs)
 
     def attn_assignments(
         self,
@@ -549,7 +536,7 @@ class SetVAE:
         block = levels[level]
         with _finite_pass():
             if side == "encoder":
-                x_in = self._encode_trace(x)[1][level]
+                x_in = self.encode(x)[1][level]
                 coords = x.elems.data
             else:
                 x_hat, _, lat = self.infer(x, noise)

@@ -4,8 +4,9 @@ Everything downstream (attention blocks, the latent hierarchy, losses) is
 built from the ops in this module. Op outputs are immutable values: every
 op returns a fresh tensor and records its inputs plus a vector-Jacobian
 callback, so the tape is rebuilt on each forward pass and variable set
-cardinality never invalidates a cached graph. Only leaves change in place:
-`backward` adds into a leaf's `.grad`, and Adam writes the parameters.
+cardinality never invalidates a cached graph. A leaf is
+`Tensor(a, requires_grad=True)`, and only leaves change in place:
+`backward(loss)` adds into a leaf's `.grad`, and Adam writes the parameters.
 
 Shapes: weight matrices and single sets are rank 2, padded batches of sets
 rank 3, and attention splits the feature axis into a head axis, so its
@@ -81,9 +82,6 @@ class Rng:
     def uniform(self, lo: float, hi: float, shape=(), dtype=np.float64) -> np.ndarray:
         return self._gen.uniform(lo, hi, shape).astype(dtype, copy=False)
 
-    def random(self, shape=()) -> np.ndarray:
-        return self._gen.random(shape)
-
     def integers(self, lo: int, hi: int, shape=()) -> np.ndarray:
         """Uniform integers in [lo, hi)."""
         return self._gen.integers(lo, hi, size=shape)
@@ -105,13 +103,12 @@ class Rng:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, name=None, _parents=(), _vjp=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.name = name
         self._parents = _parents
         self._vjp = _vjp
 
@@ -132,21 +129,13 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
-
-    def backward(self):
-        backward(self)
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x))
-
-
-def parameter(data, name: str) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=True, name=name)
 
 
 class Init:

@@ -77,11 +77,14 @@ def format_log_line(step: int, recon: float, kl: float, beta: float, lr: float) 
 
 
 def parse_log_line(line: str) -> dict:
-    out = {}
-    for tok in line.split():
-        key, _, val = tok.partition("=")
-        out[key] = int(val) if key == "step" else float(val)
-    return out
+    """The fields of a `format_log_line` line; ValueError names any other."""
+    toks = [tok.partition("=") for tok in line.split()]
+    if [t[0] for t in toks] == ["step", "recon", "kl", "beta", "lr", "total"]:
+        try:
+            return {k: int(v) if k == "step" else float(v) for k, _, v in toks}
+        except ValueError:
+            pass
+    raise ValueError(f"malformed training log line {line.rstrip()!r}")
 
 
 @contextmanager
@@ -106,12 +109,11 @@ def train(
     log_fn=None,
 ) -> str:
     """Run training; returns the final checkpoint path."""
-    os.makedirs(out_dir, exist_ok=True)
-    dtype = cfg.np_dtype
     if ds.dim != cfg.out_dim:
         raise ValueError(
             f"dataset dimension {ds.dim} does not match out_dim {cfg.out_dim}"
         )
+    dtype = cfg.np_dtype
 
     if resume is not None:
         model, opt, start_step = load_model(resume, dtype=dtype)
@@ -129,6 +131,9 @@ def train(
     per_epoch = math.ceil(len(ds) / cfg.batch_size)
     total = total_step_count(cfg, len(ds))
 
+    # made only once the data, the checkpoint and the model are in hand, so
+    # a run rejected before its first step leaves no directory behind
+    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train_log.txt")
     final_path = os.path.join(out_dir, "final.svae")
     kept = 0  # bytes of the log a resume keeps
@@ -161,7 +166,7 @@ def train(
                 if not np.isfinite(loss.data):
                     raise FloatingPointError("non-finite loss")
                 buf.zero_grad()
-                loss.backward()
+                T.backward(loss)
                 T.clip_grads(buf, cfg.grad_clip)
                 T.adam_step(
                     buf, opt, lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2

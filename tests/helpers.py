@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from setvae import tensor as T
+from setvae.attention import _key_mask_for_scores, _scores, _slot_parts
 from setvae.checkpoint import load_model
 
 
@@ -44,10 +45,10 @@ def check_op_grad(op, shapes, rng, arrays=None, **kwargs) -> float:
     ops whose inputs need a restricted support (positive, off-kink, ...).
     """
     arrs = arrays if arrays is not None else [rng.standard_normal(s) for s in shapes]
-    leaves = [T.parameter(a.copy(), f"arg{i}") for i, a in enumerate(arrs)]
+    leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrs]
     out = op(*leaves, **kwargs)
     w = rng.standard_normal(out.shape)
-    T.sum_all(T.mul(out, T.as_tensor(w))).backward()
+    T.backward(T.sum_all(T.mul(out, T.as_tensor(w))))
 
     worst = 0.0
     for i, a in enumerate(arrs):
@@ -148,6 +149,13 @@ def multihead_per_head(Q, K, V, p, key_mask=None, mode="plain"):
         outs.append(T.matmul(w, vh))
     merged = outs[0] if p.heads == 1 else T.concat(outs, axis=-1)
     return T.add_row(T.matmul(merged, p.W_o), p.b_o), weights
+
+
+def slot_attention_parts(Q, K, key_mask=None):
+    """(column-normalized A', row-renormalized W') of slot attention for raw
+    Q and K, through the pieces `multihead(..., slot=True)` runs."""
+    scores = _scores(Q, K)
+    return _slot_parts(scores, _key_mask_for_scores(key_mask, scores.ndim))
 
 
 def tape_nodes(out) -> int:

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import setvae.tensor as T
-from helpers import check_op_grad, rel_err, zero_grads
+from helpers import check_op_grad, rel_err, slot_attention_parts, zero_grads
 from setvae.attention import AttentionParams, isab
-from setvae.attention import multihead_head_weights, slot_attention_parts
+from setvae.attention import multihead_head_weights
 from setvae.data import Dataset, batch_pad, gen_synthetic, load_jsonl, save_jsonl
 from setvae.metrics import chamfer, hungarian, emd, report
 from setvae.model import CardinalityDist, ModelConfig, SetVAE
@@ -49,7 +49,7 @@ def test_criterion_equivariance_suite():
         rng = T.Rng(100 + init, "equi")
         p_proj = AttentionParams.init(d, heads, T.Init(rng.fork("pp")))
         p_broad = AttentionParams.init(d, heads, T.Init(rng.fork("pb")))
-        I = T.parameter(rng.fork("I").normal((m, d)), "I")
+        I = T.Tensor(rng.fork("I").normal((m, d)), requires_grad=True)
         x = rng.fork("x").normal((n, d))
         out0, h0 = isab(T.Tensor(x), I, p_proj, p_broad)
 
@@ -321,7 +321,7 @@ def test_criterion_slot_attention_normalization():
     x = T.Tensor(rng.fork("x").normal((n, d)))
     for heads in (1, 2, 4, 8):
         p = AttentionParams.init(d, heads, T.Init(rng.fork("p", heads)))
-        I = T.parameter(rng.fork("i", heads).normal((m, d)), "I")
+        I = T.Tensor(rng.fork("i", heads).normal((m, d)), requires_grad=True)
         for mask in masks:
             for h in range(heads):
                 W = multihead_head_weights(I, x, p, h, key_mask=mask, slot=True)

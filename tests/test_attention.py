@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import multihead_per_head, zero_grads
+from helpers import multihead_per_head, slot_attention_parts, zero_grads
 from setvae import tensor as T
 from setvae.attention import (
     AttentionParams,
@@ -13,7 +13,6 @@ from setvae.attention import (
     mab,
     multihead,
     multihead_head_weights,
-    slot_attention_parts,
 )
 
 
@@ -90,8 +89,8 @@ def _fused_vs_per_head_cases(rng, d=8, n_q=3, n_v=6):
 
 def _grads(attend, q, kv, p, cot):
     """Gradients of <attend(q, kv), cot> for q, kv and every parameter."""
-    leaves = [T.parameter(q.copy(), "q"), T.parameter(kv.copy(), "kv")]
-    T.sum_all(T.mul(attend(*leaves), cot)).backward()
+    leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (q, kv)]
+    T.backward(T.sum_all(T.mul(attend(*leaves), cot)))
     params = T.named_params(p, "p")
     grads = [l.grad for l in leaves] + [t.grad for t in params.values()]
     zero_grads(params)
@@ -188,7 +187,7 @@ def test_isab_properties_across_heads_and_m():
             seed = 100 * heads + m
             p_proj = AttentionParams.init(d, heads, T.Init(T.Rng(seed, "proj")))
             p_broad = AttentionParams.init(d, heads, T.Init(T.Rng(seed, "broad")))
-            I = T.parameter(T.Rng(seed, "I").normal((m, d)), "I")
+            I = T.Tensor(T.Rng(seed, "I").normal((m, d)), requires_grad=True)
             x = rng.standard_normal((6, d))
             out, h = isab(T.as_tensor(x), I, p_proj, p_broad)
             assert out.shape == (6, d) and h.shape == (m, d)
@@ -204,7 +203,7 @@ def test_isab_mask_equals_dropping_elements():
     d = 8
     p_proj = AttentionParams.init(d, 2, T.Init(T.Rng(1, "proj")))
     p_broad = AttentionParams.init(d, 2, T.Init(T.Rng(1, "broad")))
-    I = T.parameter(T.Rng(1, "I").normal((4, d)), "I")
+    I = T.Tensor(T.Rng(1, "I").normal((4, d)), requires_grad=True)
     x = rng.standard_normal((5, d))
     padded = np.zeros((7, d))
     padded[:5] = x
@@ -220,14 +219,14 @@ def test_isab_padded_rows_get_zero_gradient():
     d = 8
     p_proj = AttentionParams.init(d, 2, T.Init(T.Rng(2, "proj")))
     p_broad = AttentionParams.init(d, 2, T.Init(T.Rng(2, "broad")))
-    I = T.parameter(T.Rng(2, "I").normal((3, d)), "I")
+    I = T.Tensor(T.Rng(2, "I").normal((3, d)), requires_grad=True)
     padded = np.zeros((6, d))
     padded[:4] = rng.standard_normal((4, d))
     mask = np.array([True] * 4 + [False] * 2)
-    x = T.parameter(padded, "x")
+    x = T.Tensor(padded, requires_grad=True)
     out, _ = isab(x, I, p_proj, p_broad, mask=mask)
     valid = T.mask_mul(out, mask[:, None].astype(float))
-    T.sum_all(T.mul(valid, valid)).backward()
+    T.backward(T.sum_all(T.mul(valid, valid)))
     assert np.all(x.grad[4:] == 0.0)
     assert np.any(x.grad[:4] != 0.0)
 
@@ -237,7 +236,7 @@ def test_isab_batched_matches_per_set():
     d = 8
     p_proj = AttentionParams.init(d, 2, T.Init(T.Rng(3, "proj")))
     p_broad = AttentionParams.init(d, 2, T.Init(T.Rng(3, "broad")))
-    I = T.parameter(T.Rng(3, "I").normal((4, d)), "I")
+    I = T.Tensor(T.Rng(3, "I").normal((4, d)), requires_grad=True)
     sets = [rng.standard_normal((n, d)) for n in (3, 5)]
     padded = np.zeros((2, 5, d))
     mask = np.zeros((2, 5), dtype=bool)
@@ -272,11 +271,11 @@ def test_setbatch_invariant_checked():
 def test_attention_gradients_flow():
     rng = np.random.default_rng(40)
     p = make_params(d=4, heads=2, seed=9)
-    x = T.parameter(rng.standard_normal((5, 4)), "x")
-    I = T.parameter(T.Rng(9, "I").normal((2, 4)), "I")
+    x = T.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    I = T.Tensor(T.Rng(9, "I").normal((2, 4)), requires_grad=True)
     p2 = make_params(d=4, heads=2, seed=10)
     out, h = isab(x, I, p, p2)
-    T.sum_all(T.mul(out, out)).backward()
+    T.backward(T.sum_all(T.mul(out, out)))
     assert x.grad is not None and np.all(np.isfinite(x.grad))
     assert I.grad is not None and np.any(I.grad != 0)
     for name, t in T.named_params(p, "p").items():

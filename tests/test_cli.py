@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -104,6 +105,33 @@ def test_train_rejects_bad_config(workspace, tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
     assert "bad.cfg:2" in res.stderr
+
+
+def test_train_rejects_dimension_mismatch_before_making_out(workspace, tmp_path):
+    data = tmp_path / "d3.jsonl"
+    save_jsonl(Dataset([np.full((4, 3), 0.5)]), data)  # 3D points, out_dim 2
+    out = tmp_path / "run"
+    res = run_cli("train", "--config", workspace["config"], "--data", data, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr == "error: dataset dimension 3 does not match out_dim 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["", "step=4 recon=oops"], ids=["blank", "malformed"])
+def test_resume_rejects_malformed_log_line(workspace, tmp_path, bad):
+    run = tmp_path / "run"
+    shutil.copytree(workspace["run"], run)
+    log = run / "train_log.txt"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines[:3] + [bad + "\n"] + lines[3:]))
+    before = log.read_bytes()
+    res = run_cli(
+        "train", "--config", workspace["config"], "--data", workspace["data"],
+        "--out", run, "--resume", run / "final.svae",
+    )
+    assert res.returncode == 1
+    assert res.stderr == f"error: malformed training log line {bad!r}\n"
+    assert log.read_bytes() == before
 
 
 # ----------------------------------------------------------------------
@@ -376,14 +404,14 @@ def test_frozen_model_builds_no_tape(workspace):
     x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "infer")))
     for t in [out.elems, x_hat.elems, *kls]:
         assert t._parents == () and not t.requires_grad
-    T.sum_all(x_hat.elems).backward()
+    T.backward(T.sum_all(x_hat.elems))
     assert all(p.grad is None for p in params.values())
 
     # the training path loads trainable parameters, as before
     trainable, _, _ = load_model(workspace["ckpt"])
     x_hat, kls, _ = trainable.infer(x, trainable.draw_noise(x.cards, T.Rng(0, "infer")))
     assert tape_nodes(x_hat.elems) > 0
-    T.sum_all(x_hat.elems).backward()
+    T.backward(T.sum_all(x_hat.elems))
     assert any(p.grad is not None for p in trainable.params().values())
 
 
@@ -433,6 +461,17 @@ def test_sample_rejects_nonpositive_n(workspace, tmp_path, n):
     assert res.returncode == 1
     assert res.stderr == "error: cardinalities must be positive\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_rejects_count_below_one(workspace, tmp_path, count):
+    out = tmp_path / "none.jsonl"
+    # with a missing checkpoint too: the count is checked before any load
+    for ckpt in (workspace["ckpt"], tmp_path / "missing.svae"):
+        res = run_cli("sample", "--ckpt", ckpt, "--num-samples", count, "--out", out)
+        assert res.returncode == 1
+        assert res.stderr == f"error: --num-samples must be at least 1, got {count}\n"
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -637,8 +676,8 @@ def test_out_of_memory_is_one_error_line(workspace, tmp_path, command):
     assert res.stderr.startswith("error: Unable to allocate")
     assert len(res.stderr.strip().splitlines()) == 1
     assert "Traceback" not in res.stderr
-    # train makes its run directory first; no file lands in it
-    assert not out.exists() or not any(out.iterdir())
+    # train makes its run directory only once its model is built
+    assert not out.exists()
 
 
 def test_malformed_data_is_reported(workspace, tmp_path):

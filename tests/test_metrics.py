@@ -14,11 +14,8 @@ from helpers import brute_force_assignment, chamfer_loops
 from setvae.metrics import (
     EMD_MAX_POINTS,
     chamfer,
-    cov,
     emd,
     hungarian,
-    mmd,
-    one_nna,
     pairwise_dists,
     report,
 )
@@ -225,12 +222,18 @@ def make_population(seed, count, spread=1.0, offset=0.0):
     ]
 
 
+def cross_scores(Sg, Sr, distance="cd"):
+    """(MMD, COV) off the unmirrored Sg x Sr matrix, reduced as `report`
+    reduces the Sg x Sr block of its pooled matrix."""
+    d = pairwise_dists(Sg, Sr, distance)
+    mmd = float(d.min(axis=0).mean())
+    return mmd, float(len(np.unique(d.argmin(axis=1))) / d.shape[1])
+
+
 def test_metrics_on_duplicated_population():
     Sr = make_population(9, 8)
     Sg = [s.copy() for s in Sr]
-    assert mmd(Sg, Sr) == 0.0
-    assert cov(Sg, Sr) == 1.0
-    assert one_nna(Sg, Sr) == 0.0
+    assert cross_scores(Sg, Sr) == (0.0, 1.0)
     r = report(Sg, Sr)
     assert (r.mmd, r.cov, r.one_nna) == (0.0, 1.0, 0.0)
     assert r.distance == "cd"
@@ -239,38 +242,43 @@ def test_metrics_on_duplicated_population():
 def test_metrics_on_separated_populations():
     Sr = make_population(10, 6, offset=0.0)
     Sg = make_population(11, 6, offset=100.0)
-    assert one_nna(Sg, Sr) == 1.0
-    assert mmd(Sg, Sr) > 100.0
+    r = report(Sg, Sr)
+    assert r.one_nna == 1.0
+    assert r.mmd > 100.0
+    assert cross_scores(Sg, Sr)[0] > 100.0
 
 
 def test_cov_collapses_for_identical_generated_sets():
     Sr = make_population(12, 5)
     g = make_population(13, 1)[0]
     Sg = [g.copy() for _ in range(5)]
-    assert cov(Sg, Sr) == 1.0 / 5.0
+    assert report(Sg, Sr).cov == 1.0 / 5.0
+    assert cross_scores(Sg, Sr)[1] == 1.0 / 5.0
 
 
 def test_mmd_singletons():
     g = np.array([[0.0, 0.0]])
     r = np.array([[3.0, 4.0]])
-    assert mmd([g], [r]) == chamfer(g, r)
-    assert cov([g], [r]) == 1.0
+    assert cross_scores([g], [r]) == (chamfer(g, r), 1.0)
+    rep = report([g], [r])
+    assert (rep.mmd, rep.cov) == (chamfer(g, r), 1.0)
 
 
 def test_metrics_match_double_loop_oracle():
     Sg = make_population(14, 5)
     Sr = make_population(15, 5)
     d = np.array([[chamfer(g, r) for r in Sr] for g in Sg])
-
-    assert mmd(Sg, Sr) == float(d.min(axis=0).mean())
-    assert cov(Sg, Sr) == len({int(np.argmin(row)) for row in d}) / 5
+    mmd = float(d.min(axis=0).mean())
+    cov = len({int(np.argmin(row)) for row in d}) / 5
+    assert cross_scores(Sg, Sr) == (mmd, cov)
 
     pooled = Sg + Sr
     big = np.array([[chamfer(a, b) for b in pooled] for a in pooled])
     np.fill_diagonal(big, np.inf)
     labels = np.array([0] * 5 + [1] * 5)
     acc = float(np.mean(labels[big.argmin(axis=1)] == labels))
-    assert one_nna(Sg, Sr) == acc
+    r = report(Sg, Sr)
+    assert (r.mmd, r.cov, r.one_nna) == (mmd, cov, acc)
 
 
 def test_metrics_with_emd_distance():
@@ -300,9 +308,7 @@ def test_report_evaluates_each_pair_at_most_once(monkeypatch):
     r = report(Sg, Sr)
     # each unordered Chamfer pair once, the zero diagonal included
     assert 0 < sum(covered) <= pooled * (pooled + 1) // 2
-    assert (r.mmd, r.cov, r.one_nna) == (
-        mmd(Sg, Sr), cov(Sg, Sr), one_nna(Sg, Sr)
-    )
+    assert (r.mmd, r.cov) == cross_scores(Sg, Sr)
 
     Eg = [s[:4] for s in Sg]
     Er = [s[:4] for s in Sr]
@@ -317,9 +323,7 @@ def test_report_evaluates_each_pair_at_most_once(monkeypatch):
     r = report(Eg, Er, "emd")
     # each unordered pair off the diagonal once, mirrored as for Chamfer
     assert sum(matchings) == pooled * (pooled - 1) // 2
-    assert (r.mmd, r.cov, r.one_nna) == (
-        mmd(Eg, Er, "emd"), cov(Eg, Er, "emd"), one_nna(Eg, Er, "emd")
-    )
+    assert (r.mmd, r.cov) == cross_scores(Eg, Er, "emd")
 
 
 @pytest.fixture(scope="module")
@@ -460,4 +464,4 @@ def test_population_error_cases():
     with pytest.raises(ValueError):
         pairwise_dists(Sr, Sr, distance="hausdorff")
     with pytest.raises(ValueError):
-        one_nna(Sr, Sr[:2])
+        report(Sr, Sr[:2])

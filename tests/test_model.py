@@ -1,6 +1,7 @@
 """Tests for the hierarchical model: priors, bottleneck levels, ELBO."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from setvae.model import (
     Noise,
     SetVAE,
     abl_step,
-    gaussian_kl,
     gaussian_kl_elems,
     initial_set_kl_constant,
     masked_chamfer,
@@ -96,7 +96,7 @@ def test_cardinality_point_mass():
 
 
 def test_cardinality_frequencies():
-    dist = CardinalityDist.from_cards([3, 3, 5])
+    dist = CardinalityDist(Counter([3, 3, 5]))
     assert dist.prob(3) == 2 / 3
     rng = T.Rng(11, "freq")
     draws = [dist.sample(rng.fork(i)) for i in range(100_000)]
@@ -107,7 +107,7 @@ def test_cardinality_frequencies():
 def test_initial_set_kl_values():
     uniform = CardinalityDist({n: 1 for n in range(1, 98)})
     assert abs(initial_set_kl_constant(uniform, 10) - math.log(97)) < 1e-12
-    dist = CardinalityDist.from_cards([3, 3, 5])
+    dist = CardinalityDist(Counter([3, 3, 5]))
     assert abs(initial_set_kl_constant(dist, 3) - math.log(1.5)) < 1e-12
     with pytest.raises(ValueError):
         initial_set_kl_constant(dist, 4)
@@ -120,19 +120,19 @@ def test_initial_set_kl_values():
 def test_gaussian_kl_closed_forms():
     one = T.Tensor(np.ones((1, 1)))
     zero = T.Tensor(np.zeros((1, 1)))
-    kl = gaussian_kl(one, one, zero, one)
+    kl = T.sum_all(gaussian_kl_elems(one, one, zero, one))
     assert kl.data == 0.5  # KL(N(1,1) || N(0,1))
-    same = gaussian_kl(one, T.Tensor(np.full((1, 1), 0.7)),
-                       one, T.Tensor(np.full((1, 1), 0.7)))
+    same = T.sum_all(gaussian_kl_elems(one, T.Tensor(np.full((1, 1), 0.7)),
+                                       one, T.Tensor(np.full((1, 1), 0.7))))
     assert same.data == 0.0
 
 
 def test_gaussian_kl_monte_carlo():
     mu_q, sig_q, mu_p, sig_p = 0.3, 0.8, -0.5, 1.7
-    closed = gaussian_kl(
+    closed = T.sum_all(gaussian_kl_elems(
         T.Tensor(np.array([[mu_q]])), T.Tensor(np.array([[sig_q]])),
         T.Tensor(np.array([[mu_p]])), T.Tensor(np.array([[sig_p]])),
-    ).data
+    )).data
 
     rng = T.Rng(5, "kl-mc")
     z = mu_q + sig_q * rng.normal((1_000_000,))
@@ -288,21 +288,22 @@ def test_encode_shapes_and_invariance():
     model = SetVAE(small_config(), T.Rng(3, "init"))
     pts = T.Rng(8, "pts").normal((6, 2))
     x = batch_from([pts])
-    hs = model.encode(x)
-    assert len(hs) == 2
+    hs, x_ins = model.encode(x)
+    assert len(hs) == 2 and len(x_ins) == 2
+    assert x_ins[0].shape == x_ins[1].shape == (1, 6, model.cfg.d)
     assert hs[0].shape == (1, 4, model.cfg.d)
     assert hs[1].shape == (1, 2, model.cfg.d)
     for i in range(5):
         perm = T.Rng(30, "perm", i).permutation(6)
-        hs_p = model.encode(batch_from([pts[perm]]))
+        hs_p, _ = model.encode(batch_from([pts[perm]]))
         for a, b in zip(hs, hs_p):
             assert np.max(np.abs(a.data - b.data)) < 1e-10
 
 
 def test_encode_distinguishes_sets():
     model = SetVAE(small_config(), T.Rng(3, "init"))
-    a = model.encode(batch_from([T.Rng(1, "a").normal((5, 2))]))
-    b = model.encode(batch_from([T.Rng(2, "b").normal((5, 2))]))
+    a, _ = model.encode(batch_from([T.Rng(1, "a").normal((5, 2))]))
+    b, _ = model.encode(batch_from([T.Rng(2, "b").normal((5, 2))]))
     assert np.max(np.abs(a[-1].data - b[-1].data)) > 1e-4
 
 

@@ -165,10 +165,11 @@ def test_elementwise_gradients():
             rng2 = np.random.default_rng(20)
             a = rng2.standard_normal(shapes[0])
             b = rng2.standard_normal(shapes[1]) + 3.0
-            pa, pb = T.parameter(a.copy(), "a"), T.parameter(b.copy(), "b")
+            pa = T.Tensor(a.copy(), requires_grad=True)
+            pb = T.Tensor(b.copy(), requires_grad=True)
             out = op(pa, pb)
             w = rng2.standard_normal(out.shape)
-            T.sum_all(T.mul(out, T.as_tensor(w))).backward()
+            T.backward(T.sum_all(T.mul(out, T.as_tensor(w))))
             fa = lambda x: float(np.sum((x / b) * w))
             fb = lambda x: float(np.sum((a / x) * w))
             assert rel_err(pa.grad, numeric_grad(fa, a)) < 1e-6
@@ -177,10 +178,10 @@ def test_elementwise_gradients():
         if op is T.normalize_rows:
             rng3 = np.random.default_rng(21)
             a = rng3.random(shapes[0]) + 0.5
-            p = T.parameter(a.copy(), "a")
+            p = T.Tensor(a.copy(), requires_grad=True)
             out = op(p)
             w = rng3.standard_normal(out.shape)
-            T.sum_all(T.mul(out, T.as_tensor(w))).backward()
+            T.backward(T.sum_all(T.mul(out, T.as_tensor(w))))
             f = lambda x: float(np.sum((x / x.sum(-1, keepdims=True)) * w))
             assert rel_err(p.grad, numeric_grad(f, a)) < 1e-6
             continue
@@ -200,9 +201,9 @@ def test_reduce_min_tie_break_lowest_index():
 
 
 def test_reduce_min_gradient_routes_to_argmin():
-    x = T.parameter([3.0, 1.0, 1.0], "x")
+    x = T.Tensor([3.0, 1.0, 1.0], requires_grad=True)
     v, _ = T.reduce_min(x, axis=0)
-    T.sum_all(v).backward()
+    T.backward(T.sum_all(v))
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
@@ -219,32 +220,32 @@ def test_reduce_empty_axis_error():
 
 
 def test_backward_sum_gives_ones():
-    x = T.parameter([1.0, 2.0, 3.0], "x")
-    T.sum_all(x).backward()
+    x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    T.backward(T.sum_all(x))
     assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_hand_derivative():
-    x = T.parameter([1.0, 2.0], "x")
-    T.sum_all(T.mul(x, x)).backward()
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    T.backward(T.sum_all(T.mul(x, x)))
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_two_consumers_accumulates():
     # y = sum(x*x) + 3*sum(x): dy/dx = 2x + 3
-    x = T.parameter([1.0, -2.0], "x")
+    x = T.Tensor([1.0, -2.0], requires_grad=True)
     y = T.add(T.sum_all(T.mul(x, x)), T.scale(T.sum_all(x), 3.0))
-    y.backward()
+    T.backward(y)
     assert np.array_equal(x.grad, [5.0, -1.0])
 
 
 def test_backward_accumulates_across_calls():
-    x = T.parameter([1.0, 1.0], "x")
-    T.sum_all(x).backward()
-    T.sum_all(x).backward()
+    x = T.Tensor([1.0, 1.0], requires_grad=True)
+    T.backward(T.sum_all(x))
+    T.backward(T.sum_all(x))
     assert np.array_equal(x.grad, [2.0, 2.0])
     zero_grads([x])
-    T.sum_all(x).backward()
+    T.backward(T.sum_all(x))
     assert np.array_equal(x.grad, [1.0, 1.0])
 
 
@@ -254,11 +255,11 @@ def test_backward_nonscalar_error():
 
 
 def test_mask_ops():
-    x = T.parameter([[1.0, 2.0], [3.0, 4.0]], "x")
+    x = T.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     m = np.array([[1.0, 0.0], [1.0, 1.0]])
     out = T.mask_mul(x, m)
     assert np.array_equal(out.data, [[1.0, 0.0], [3.0, 4.0]])
-    T.sum_all(out).backward()
+    T.backward(T.sum_all(out))
     assert np.array_equal(x.grad, m)
 
     y = T.mask_fill(T.as_tensor([[1.0, 2.0]]), np.array([[True, False]]), 9.0)
@@ -268,7 +269,9 @@ def test_mask_ops():
 def flat_params(**values):
     """A ParamBuffer over one float64 parameter per keyword, with its
     gradient vector bound."""
-    buf = T.ParamBuffer({name: T.parameter(v, name) for name, v in values.items()})
+    buf = T.ParamBuffer(
+        {name: T.Tensor(v, requires_grad=True) for name, v in values.items()}
+    )
     buf.fill()
     buf.zero_grad()
     return buf
@@ -329,7 +332,11 @@ def test_clip_grads_global_norm():
 def test_param_buffer_layout_puts_trained_first():
     frozen = T.Tensor(np.array([7.0, 8.0]))
     buf = T.ParamBuffer(
-        {"a": T.parameter(np.ones((2, 3)), "a"), "k": frozen, "b": T.parameter([5.0], "b")}
+        {
+            "a": T.Tensor(np.ones((2, 3)), requires_grad=True),
+            "k": frozen,
+            "b": T.Tensor([5.0], requires_grad=True),
+        }
     )
     assert [(s.name, s.span.start, s.shape) for s in buf.layout] == [
         ("a", 0, (2, 3)), ("b", 6, (1,)), ("k", 7, (2,)),
@@ -341,7 +348,7 @@ def test_param_buffer_layout_puts_trained_first():
     assert all(np.shares_memory(p.data, buf.data) for p in buf.params.values())
     assert frozen.grad is None and buf.grad.shape == (7,)
     # backward adds into the views
-    T.sum_all(T.scale(buf.params["a"], 2.0)).backward()
+    T.backward(T.sum_all(T.scale(buf.params["a"], 2.0)))
     assert np.array_equal(buf.grad, [2, 2, 2, 2, 2, 2, 0])
 
 

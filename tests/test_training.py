@@ -221,6 +221,7 @@ def test_resume_rejects_architecture_change(tmp_path):
     with pytest.raises(ValueError, match="architecture"):
         train(other, ds, tmp_path / "other",
               resume=str(tmp_path / "base" / "final.svae"))
+    assert not (tmp_path / "other").exists()
 
 
 def test_train_rejects_dimension_mismatch(tmp_path):
@@ -308,12 +309,12 @@ def test_flat_optimizer_matches_dict_reference(dtype, grad_clip):
             loss = model.elbo_loss(x, x_hat, kls, beta=0.01)[0]
             if model is flat:
                 flat.buffer.zero_grad()
-                loss.backward()
+                T.backward(loss)
                 norms.append(T.clip_grads(flat.buffer, grad_clip))
                 T.adam_step(flat.buffer, flat_state, 1e-2)
             else:
                 zero_grads(ref_params)
-                loss.backward()
+                T.backward(loss)
                 grads = {k: p.grad for k, p in ref_params.items() if p.grad is not None}
                 norms.append(clip_grads_dict(grads, grad_clip))
                 adam_step_dict(ref_params, grads, ref_state, 1e-2)
