@@ -32,6 +32,7 @@ earlier file at that path intact.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import fields
@@ -97,8 +98,8 @@ def _unpack_section(r: _Reader) -> dict[str, np.ndarray]:
         name = r.take(r.u32()).decode("utf-8")
         rank = r.u32()
         dims = [r.u32() for _ in range(rank)]
-        size = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(dims)
+        # exact, where np.prod wraps in int64 and could size a record negative
+        arr = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
         if name in out:
             raise CheckpointError(f"duplicate tensor name '{name}'")
         out[name] = arr.copy()

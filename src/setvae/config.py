@@ -38,6 +38,8 @@ class TrainConfig(ModelConfig):
             raise ConfigError("lr must be finite and positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ConfigError("adam betas must lie in (0, 1)")
+        if self.epochs < 0 or self.steps < 0:
+            raise ConfigError("epochs and steps must be nonnegative")
         if self.epochs < 1 and self.steps < 1:
             raise ConfigError("either epochs or steps must be positive")
         if self.batch_size < 1:

@@ -10,18 +10,17 @@ populations, 0.5 ideal).
 
 Squared distances come from explicit differences, one coordinate's
 squared difference added at a time in coordinate order, so identical sets
-are exactly 0 apart and no (n, m, dim) array is built. Chamfer runs one
-set against a block of whole sets at once: the block's points are the
-columns of one coordinate-major (dim, m) array, each set's row minima come
-from `np.minimum.reduceat`, and each set's minima are summed contiguously.
-A block holds about BLOCK_ENTRIES squared distances; a set too large for
-that is a block of its own, and runs against its row set a tile of rows
-at a time, each tile about BLOCK_ENTRIES entries, so memory stays flat in
-the size of a set. A row's minimum always runs over the whole block, its
-forward minima land in one buffer per block, and column minima combine
-across tiles with `np.minimum`, which is exact. The blocks are planned
-first, and one workspace sized to the largest tile serves every block, so
-a matrix allocates its large arrays once, not once per block. The column
+are exactly 0 apart and no (n, m, dim) array is built. Chamfer runs a set
+of n points against BLOCK_ENTRIES // n whole sets at once (at least one):
+the group's points are the columns of one coordinate-major (dim, m) array,
+each set's row minima come from `np.minimum.reduceat`, and the group's
+forward minima fit one buffer. Within a group the set runs a tile of rows
+at a time, each tile about BLOCK_ENTRIES squared distances, so memory
+stays flat in the size of a set. A row's minimum always runs over the
+whole group, each set's minima are summed contiguously, and column minima
+combine across tiles with `np.minimum`, which is exact. One workspace and
+one forward buffer, sized in closed form to the largest tile and group,
+serve every group, so a matrix allocates its large arrays once. The column
 minima of a chunk of rows, about CHUNK_ENTRIES of them, go into one
 buffer, and each column set's minima are summed once per chunk, one
 contiguous row per pair. Every entry is therefore summed as for a single
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EMD_MAX_POINTS = 512
-BLOCK_ENTRIES = 1 << 15  # squared distances in one Chamfer block
+BLOCK_ENTRIES = 1 << 15  # squared distances in one Chamfer tile
 CHUNK_ENTRIES = 1 << 17  # column minima held for one chunk of Chamfer rows
 EMD_BLOCK_ENTRIES = 1 << 17  # cost entries in one block of EMD matchings
 
@@ -163,56 +162,33 @@ def emd(x, y) -> float:
     return float(pairwise_dists([x], [y], "emd")[0, 0])
 
 
-def _chamfer_blocks(A: list, bounds: np.ndarray, same: bool) -> list:
-    """Per row set i, the blocks (j, k) of column sets j..k-1 it runs against."""
-    plan = []
-    for i, x in enumerate(A):
-        width = max(1, BLOCK_ENTRIES // len(x))  # columns per block
-        row, j = [], i if same else 0
-        while j < len(bounds) - 1:
-            # whole sets up to the width; a wider set is a block of its own
-            k = int(np.searchsorted(bounds, bounds[j] + width, side="right")) - 1
-            k = max(k, j + 1)
-            row.append((j, k))
-            j = k
-        plan.append(row)
-    return plan
-
-
-def _tile_rows(width: int) -> int:
-    """Rows of a row set run at once against a block `width` columns wide:
-    the whole set, unless the block is one set too large for BLOCK_ENTRIES."""
-    return max(1, BLOCK_ENTRIES // width)
-
-
 def _chamfer_matrix(A: list, B: list, same: bool) -> np.ndarray:
     cols = np.concatenate([y.T for y in B], axis=1)
     bounds = np.cumsum([0] + [len(y) for y in B])
-    plan = _chamfer_blocks(A, bounds, same)
-    # (rows, sets, columns) of each block; one workspace for every tile, and
-    # one buffer for every block's forward minima, sized to the largest
-    blocks = [
-        (len(A[i]), k - j, bounds[k] - bounds[j])
-        for i, r in enumerate(plan)
-        for j, k in r
-    ]
-    work = np.empty(2 * max(min(n, _tile_rows(w)) * w for n, _, w in blocks))
-    fwd_buf = np.empty(max(n * sets for n, sets, _ in blocks))
-    chunk = max(1, CHUNK_ENTRIES // cols.shape[1])  # rows per chunk
-    mins = np.zeros((chunk, cols.shape[1]))  # column minima of a chunk's rows
+    total, n = cols.shape[1], max(map(len, A))
+    # one workspace for every tile and one forward buffer for every group,
+    # each sized to the largest: a tile is at most BLOCK_ENTRIES entries or
+    # one row, which may span every column, and a group's forward minima
+    # are at most BLOCK_ENTRIES or one row set
+    work = np.empty(2 * min(n * total, max(BLOCK_ENTRIES, total)))
+    fwd_buf = np.empty(min(n * len(B), max(BLOCK_ENTRIES, n)))
+    chunk = max(1, CHUNK_ENTRIES // total)  # rows per chunk
+    mins = np.zeros((chunk, total))  # column minima of a chunk's rows
     d = np.empty((len(A), len(B)))
     for r0 in range(0, len(A), chunk):
         r1 = min(r0 + chunk, len(A))
         for i in range(r0, r1):
             x = A[i]
-            for j, k in plan[i]:
+            size = max(1, BLOCK_ENTRIES // len(x))  # column sets per group
+            for j in range(i if same else 0, len(B), size):
+                k = min(j + size, len(B))
                 s, e = bounds[j], bounds[k]
                 fwd = fwd_buf[: (k - j) * len(x)].reshape(k - j, len(x))
                 col_min = mins[i - r0, s:e]
-                step = _tile_rows(e - s)
+                step = max(1, BLOCK_ENTRIES // (e - s))  # rows per tile
                 for t in range(0, len(x), step):
                     d2 = _sq_dists(x[t : t + step], cols[:, s:e], work)
-                    # a row's minimum runs over the whole block
+                    # a row's minimum runs over the whole group
                     fwd[:, t : t + step] = np.minimum.reduceat(d2, bounds[j:k] - s, 1).T
                     if t == 0:
                         np.minimum.reduce(d2, axis=0, out=col_min)

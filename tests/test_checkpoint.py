@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -286,6 +287,23 @@ def test_bad_magic_and_version_are_distinct(tmp_path):
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
     with pytest.raises(CheckpointVersionError, match="99"):
         load_checkpoint(path)
+
+
+def test_record_size_past_int64_fails_checksum(tmp_path, capsys):
+    # dims (2^32 - 1, 2^32 - 1) under a recomputed checksum: an int64 product
+    # wraps to a negative record size, which the reader would accept
+    path = tmp_path / "huge_record.svae"
+    rank = struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1)
+    model = struct.pack("<2I", 1, 1) + b"w" + rank
+    body = MAGIC + struct.pack("<I", VERSION) + model + struct.pack("<I", 0)
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    with pytest.raises(CheckpointChecksumError, match="shorter than declared"):
+        load_checkpoint(path)
+    out = tmp_path / "out.jsonl"
+    argv = ["sample", "--ckpt", str(path), "--num-samples", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_trailing_garbage_rejected(tmp_path):

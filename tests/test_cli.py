@@ -1,12 +1,14 @@
 """End-to-end tests of the command line, run as real subprocesses."""
 
 import csv
+import gc
 import json
 import os
 import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +270,28 @@ def test_sample_prefix_property(desk_ckpt, tmp_path):
         lines[k] = out.read_bytes().splitlines()
     assert len(lines[12]) == 12
     assert lines[12][:1] == lines[1] and lines[12][:7] == lines[7]
+
+
+def test_repeated_sample_commands_hold_no_memory(desk_ckpt, tmp_path, capsys):
+    # a long-lived process running `sample` keeps no Python allocation per
+    # command; each command's argparse parser is a reference cycle, so the
+    # readings follow a collection
+    argv = ["sample", "--ckpt", str(desk_ckpt), "--num-samples", "32",
+            "--seed", "1", "--out", str(tmp_path / "samples.jsonl")]
+    for _ in range(5):  # warm-up: first-call caches
+        assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(40):
+            assert cli.main(argv) == 0
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert grown < 1 << 20  # bytes still allocated after 40 commands
 
 
 def save_sizes(path, cards, seed=0):

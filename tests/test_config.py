@@ -91,6 +91,10 @@ def test_validation_errors():
         TrainConfig(dtype="f16")
     with pytest.raises(ConfigError):
         TrainConfig(ckpt_interval=0)
+    with pytest.raises(ConfigError):  # would run the full epochs
+        TrainConfig(steps=-5)
+    with pytest.raises(ConfigError):
+        TrainConfig(epochs=-2, steps=3)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             TrainConfig(beta_max=bad)

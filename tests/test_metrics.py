@@ -296,18 +296,22 @@ def test_report_evaluates_each_pair_at_most_once(monkeypatch):
     Sr = [base[1], base[0] - 1.0, base[0], base[2], base[2], base[0] + 1.0]
     pooled = 2 * len(Sg)
 
-    covered = []
-    plan_blocks = metrics._chamfer_blocks
+    computed = []
+    sq_dists = metrics._sq_dists
 
-    def counted_blocks(A, bounds, same):
-        plan = plan_blocks(A, bounds, same)
-        covered.extend(k - j for row in plan for j, k in row)  # sets per block
-        return plan
+    def counted_sq_dists(x, cols, work):
+        d2 = sq_dists(x, cols, work)
+        computed.append(d2.size)
+        return d2
 
-    monkeypatch.setattr(metrics, "_chamfer_blocks", counted_blocks)
+    monkeypatch.setattr(metrics, "_sq_dists", counted_sq_dists)
     r = report(Sg, Sr)
+    monkeypatch.undo()
     # each unordered Chamfer pair once, the zero diagonal included
-    assert 0 < sum(covered) <= pooled * (pooled + 1) // 2
+    sizes = [len(s) for s in Sg + Sr]
+    assert sum(computed) == sum(
+        sizes[i] * sizes[j] for i in range(pooled) for j in range(i, pooled)
+    )
     assert (r.mmd, r.cov) == cross_scores(Sg, Sr)
 
     Eg = [s[:4] for s in Sg]
@@ -404,18 +408,29 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert int(res.stdout) <= 5000  # minor page faults over one 100-set matrix
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
 def test_chamfer_pair_memory_flat_in_set_size():
     # row tiles keep the workspace to about BLOCK_ENTRIES squared distances;
     # a whole-set workspace peaked at 278 MB for a 4,000-point pair, and
-    # would need about 6.4 GB for this one
+    # would need about 6.4 GB for this one. A large set among small ones
+    # runs against them in groups: one forward buffer for all 100 column
+    # sets would hold 16 MB for it. The child reads its own peak, VmHWM:
+    # ru_maxrss keeps the peak of the process that started it across exec
     script = """
-import resource
 import numpy as np
-from setvae.metrics import chamfer
+from setvae.metrics import chamfer, pairwise_dists
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM"))
 rng = np.random.default_rng(0)
+P = [rng.normal(size=(int(rng.integers(32, 65)), 2)) for _ in range(99)]
+P.insert(40, rng.normal(size=(20000, 2)))
+before = peak()
+pairwise_dists(P, P)
+print(peak() - before)
+del P
 chamfer(rng.normal(size=(20000, 2)), rng.normal(size=(20000, 2)))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peak())
 """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     res = subprocess.run(
@@ -423,7 +438,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert int(res.stdout) <= 100 * 1024  # peak RSS in KiB; about 36 MB here
+    mixed, peak = map(int, res.stdout.split())
+    assert mixed <= 8 * 1024  # peak RSS growth in KiB over the mixed population
+    assert peak <= 100 * 1024  # peak RSS in KiB; about 36 MB here
 
 
 @pytest.mark.parametrize("block", [metrics.EMD_BLOCK_ENTRIES, 200, 1])

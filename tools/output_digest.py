@@ -20,6 +20,9 @@ Runs, at one BLAS thread, on the `setvae` package in this checkout's
 - `reconstruct`, and `attn-export` on the encoder and the generator side;
 - `eval --distance cd` on 16 vs 16 and on 60 vs 60 sets of 32-64
   points (the 120 pooled sets span several chunks of Chamfer rows), and
+  on 21 vs 21 sets, 20 of 32-64 points and one of 3,000 (a large set
+  runs its column sets in several groups, and a group that holds a large
+  set runs a few rows at a time), and
   `eval --distance emd` on 8 vs 8 sets of 16 points and on 12 vs 12 sets
   of 24 points (276 matchings, more than one block of 227) (`eval` prints
   full-precision floats, so a last-bit change shows);
@@ -73,12 +76,15 @@ seed = 0
 """
 
 
-def corpus(path: Path, count: int, n_range: tuple, seed: int) -> None:
+def corpus(path: Path, count: int, n_range: tuple, seed: int, big: int = 0) -> None:
     sets, labels = [], []
     for kind in ("circle", "cross"):
         ds = data.gen_synthetic(kind, count // 2, n_range, 0.01, T.Rng(seed, kind))
         sets += ds.sets
         labels += ds.labels
+    if big:  # one more circle of `big` points, first
+        ds = data.gen_synthetic("circle", 1, (big, big), 0.01, T.Rng(seed, "big"))
+        sets, labels = ds.sets + sets, ds.labels + labels
     data.save_jsonl(data.Dataset(sets, labels), path)
 
 
@@ -136,15 +142,16 @@ def main(out: Path) -> int:
             "--level", level, "--side", side, "--head", 1,
             "--out", out / f"attn_{side}.csv")
 
-    for name, distance, count, n_range in (
-        ("cd", "cd", 16, (32, 64)),
-        ("cd_chunks", "cd", 60, (32, 64)),
-        ("emd", "emd", 8, (16, 16)),
-        ("emd_blocks", "emd", 12, (24, 24)),
+    for name, distance, count, n_range, big in (
+        ("cd", "cd", 16, (32, 64), 0),
+        ("cd_chunks", "cd", 60, (32, 64), 0),
+        ("cd_groups", "cd", 20, (32, 64), 3000),
+        ("emd", "emd", 8, (16, 16), 0),
+        ("emd_blocks", "emd", 12, (24, 24), 0),
     ):
         gen, ref = out / f"eval_{name}_gen.jsonl", out / f"eval_{name}_ref.jsonl"
-        corpus(gen, count, n_range, 6)
-        corpus(ref, count, n_range, 7)
+        corpus(gen, count, n_range, 6, big)
+        corpus(ref, count, n_range, 7, big)
         cli(f"eval_{name}", "eval", "--gen", gen, "--ref", ref, "--distance", distance)
 
     cfg = TrainConfig()
