@@ -6,8 +6,8 @@ The building blocks, bottom to top:
   supplies the keys and the values; plain (softmax over keys) or, with
   ``slot=True``, softmax over queries then per-query renormalization so
   no key is ignored. Equivariant in Q, invariant to permutations of V.
-  All heads run as one batched (…, heads, n_q, n_v) score product and
-  one weighted sum, merged back before the output projection.
+  Four projections around one `T.attend` node, which runs every head
+  at once and merges them back before the output projection.
 - ``mab(Q, V)``: attention + residual on the query + layer norm + affine
   feed-forward + second residual + layer norm.
 - ``project``: the slot MAB ``h = mab(I, x, slot=True)`` that projects a set
@@ -140,52 +140,6 @@ class ISAB(NamedTuple):
         )
 
 
-def _key_mask_for_scores(key_mask, scores_ndim: int):
-    """View of a (n_v,) or (B, n_v) key mask that broadcasts against scores
-    (n_q, n_v), (B, n_q, n_v) or, with a head axis, (…, heads, n_q, n_v)."""
-    if key_mask is None:
-        return None
-    m = np.asarray(key_mask, dtype=bool)
-    if not m.any():
-        raise T.DomainError("all keys masked")
-    if m.ndim == 1:
-        return m
-    return m.reshape(m.shape[:1] + (1,) * (scores_ndim - 2) + m.shape[1:])
-
-
-def _slot_parts(scores: Tensor, mask) -> tuple[Tensor, Tensor]:
-    """Column-normalized weights and their row renormalization.
-
-    The first output softmaxes each key column over the queries, so every
-    unmasked column sums to 1 (no key is ignored) and masked columns are
-    exactly 0. The second divides each row by its sum, giving the weights
-    actually applied to values.
-    """
-    col_norm = T.softmax_axis(scores, axis=-2)
-    if mask is not None:
-        col_norm = T.mask_mul(col_norm, mask)
-    return col_norm, T.normalize_rows(col_norm)
-
-
-def _scores(q: Tensor, k: Tensor) -> Tensor:
-    """Scaled dot products q k^T / sqrt(d_h) over the last two axes."""
-    return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-
-
-def _attention_weights(scores: Tensor, key_mask, slot: bool) -> Tensor:
-    mask = _key_mask_for_scores(key_mask, scores.ndim)
-    if slot:
-        return _slot_parts(scores, mask)[1]
-    return T.softmax_axis(scores, axis=-1, mask=mask)
-
-
-def _head_scores(Q: Tensor, V: Tensor, p: AttentionParams) -> Tensor:
-    """Scores of every head at once, (…, heads, n_q, n_v)."""
-    q = T.split_heads(T.affine(Q, p.W_q, p.b_q), p.heads)
-    k = T.split_heads(T.affine(V, p.W_k, p.b_k), p.heads)
-    return _scores(q, k)
-
-
 def multihead(
     Q: Tensor, V: Tensor, p: AttentionParams, key_mask=None, slot: bool = False
 ) -> Tensor:
@@ -196,21 +150,25 @@ def multihead(
         raise T.ShapeError(
             f"attention width mismatch: Q {Q.shape}, V {V.shape}, params width {d}"
         )
-    w = _attention_weights(_head_scores(Q, V, p), key_mask, slot)
-    v = T.split_heads(T.affine(V, p.W_v, p.b_v), p.heads)
-    return T.affine(T.merge_heads(T.matmul(w, v)), p.W_o, p.b_o)
+    q = T.affine(Q, p.W_q, p.b_q)
+    k = T.affine(V, p.W_k, p.b_k)
+    v = T.affine(V, p.W_v, p.b_v)
+    return T.affine(T.attend(q, k, v, p.heads, key_mask, slot), p.W_o, p.b_o)
 
 
 def multihead_head_weights(
     Q: Tensor, V: Tensor, p: AttentionParams, head: int, key_mask=None,
     slot: bool = False,
-) -> Tensor:
-    """The (…, n_q, n_v) weight matrix of one head, as multihead applies it."""
+) -> np.ndarray:
+    """The (…, n_q, n_v) weight matrix of one head, as multihead applies
+    it; forward only, from that head's features alone."""
     if not (0 <= head < p.heads):
         raise ConfigError(f"head {head} out of range for {p.heads} heads")
-    scores = T.narrow(_head_scores(Q, V, p), -3, head, 1)
-    # merging a single head only drops the head axis
-    return T.merge_heads(_attention_weights(scores, key_mask, slot))
+    d_h = p.W_q.shape[0] // p.heads
+    cols = slice(head * d_h, (head + 1) * d_h)
+    q = T.affine(Q, p.W_q, p.b_q).data[..., cols]
+    k = T.affine(V, p.W_k, p.b_k).data[..., cols]
+    return T.attention_weights(q, k, 1, key_mask, slot)[..., 0, :, :]
 
 
 def mab(

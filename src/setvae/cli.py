@@ -12,6 +12,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -179,7 +180,10 @@ def cmd_attn_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call only: a build
+    takes about a millisecond and leaves a reference cycle behind."""
     p = argparse.ArgumentParser(
         prog="setvae",
         description="Hierarchical set VAE: training, sampling, evaluation.",
@@ -192,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--resume", default=None)
-    t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("sample", help="sample sets from a checkpoint")
     s.add_argument("--ckpt", required=True)
@@ -202,20 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--fix-latents", action="store_true")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_sample)
 
     e = sub.add_parser("eval", help="population metrics between two files")
     e.add_argument("--gen", required=True)
     e.add_argument("--ref", required=True)
     e.add_argument("--distance", choices=("cd", "emd"), default="cd")
-    e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("reconstruct", help="reconstruct sets + per-set metrics")
     r.add_argument("--ckpt", required=True)
     r.add_argument("--data", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=0)
-    r.set_defaults(func=cmd_reconstruct)
 
     a = sub.add_parser("attn-export", help="per-point inducing assignments CSV")
     a.add_argument("--ckpt", required=True)
@@ -225,14 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--head", type=int, default=0)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out", required=True)
-    a.set_defaults(func=cmd_attn_export)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a patched module attribute is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (CheckpointError, TrainingAborted, ValueError, OSError, MemoryError) as e:
         # a bare MemoryError carries no message
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)

@@ -546,7 +546,7 @@ class SetVAE:
                 T.expand_batch(block.I, x.size), x_in, block.proj, head,
                 key_mask=x.mask, slot=True,
             )
-        return np.argmax(w.data, axis=-2), coords
+        return np.argmax(w, axis=-2), coords
 
     # ------------------------------------------------------------------
     # Objective

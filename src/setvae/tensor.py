@@ -9,10 +9,11 @@ cardinality never invalidates a cached graph. A leaf is
 `backward(loss)` adds into a leaf's `.grad`, and Adam writes the parameters.
 
 Shapes: weight matrices and single sets are rank 2, padded batches of sets
-rank 3, and attention splits the feature axis into a head axis, so its
-scores and head-wise values are rank 4, (B, heads, n, d / heads).
-`split_heads` and `merge_heads` move between the two layouts. Elementwise
-binary ops require equal shapes. The broadcasts are few and explicit:
+rank 3. `attend` is the attention core as one node: it splits the feature
+axis of its (..., n, d) inputs into a head axis as views, so its scores
+and head-wise values are rank 4, (B, heads, n, d / heads), and merges the
+heads back into its (..., n_q, d) output. Elementwise binary ops require
+equal shapes. The broadcasts are few and explicit:
 `add_row` and `affine` add a row vector to every row, `matmul` broadcasts
 all leading axes of its two sides against each other (numpy rules), and
 `mask_mul`/`mask_fill` take any mask that broadcasts to their input.
@@ -359,31 +360,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), vjp)
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., n, d) -> (..., heads, n, d / heads); head h holds features
-    [h * d / heads, (h + 1) * d / heads)."""
-    x = as_tensor(x)
-    if x.ndim < 2 or heads < 1 or x.shape[-1] % heads != 0:
-        raise ShapeError(f"cannot split shape {x.shape} into {heads} heads")
-    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
-    out = np.swapaxes(x.data.reshape(*lead, n, heads, d // heads), -3, -2)
-    return _make(out, (x,), lambda g: (np.swapaxes(g, -3, -2).reshape(x.shape),))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., heads, n, d_h) -> (..., n, heads * d_h), inverse of split_heads."""
-    x = as_tensor(x)
-    if x.ndim < 3:
-        raise ShapeError(f"merge_heads needs a head axis, got shape {x.shape}")
-    lead, (heads, n, d_h) = x.shape[:-3], x.shape[-3:]
-    out = np.swapaxes(x.data, -3, -2).reshape(*lead, n, heads * d_h)
-
-    def vjp(g):
-        return (np.swapaxes(g.reshape(*lead, n, heads, d_h), -3, -2),)
-
-    return _make(out, (x,), vjp)
-
-
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     x = as_tensor(x)
@@ -545,6 +521,45 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _softmax(x: np.ndarray, ax: int, mask=None) -> np.ndarray:
+    """Softmax of an array along axis `ax`, written over `x` and returned;
+    masked entries come out +0."""
+    if mask is not None:
+        m = np.asarray(mask, dtype=bool)
+        if not np.broadcast_to(m, x.shape).any(axis=ax).all():
+            raise DomainError("empty softmax slice")
+        # masked entries become exp(-inf) = +0, so no second pass zeroes them
+        np.copyto(x, -np.inf, where=~m)
+    x -= x.max(axis=ax, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=ax, keepdims=True)
+    return x
+
+
+def _softmax_vjp(g: np.ndarray, out: np.ndarray, ax: int) -> np.ndarray:
+    gx = g * out
+    inner = np.add.reduce(gx, axis=ax, keepdims=True)
+    np.subtract(g, inner, out=gx)
+    gx *= out
+    return gx
+
+
+def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row (last axis) divided by its sum, written over `x`; returns
+    `x` and the sums."""
+    s = x.sum(axis=-1, keepdims=True)
+    x /= s
+    return x, s
+
+
+def _normalize_rows_vjp(g: np.ndarray, out: np.ndarray, s: np.ndarray) -> np.ndarray:
+    gx = g * out
+    inner = np.add.reduce(gx, axis=-1, keepdims=True)
+    np.subtract(g, inner, out=gx)
+    gx /= s
+    return gx
+
+
 def softmax_axis(x: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
     """Softmax along one axis with max-subtraction stabilization.
 
@@ -553,42 +568,15 @@ def softmax_axis(x: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor
     """
     x = as_tensor(x)
     ax = axis % x.ndim
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not m.any(axis=ax).all():
-            raise DomainError("empty softmax slice")
-        # masked entries become exp(-inf) = +0, so no second pass zeroes them
-        out = np.where(m, x.data, -np.inf)
-        out -= out.max(axis=ax, keepdims=True)
-    else:
-        out = x.data - x.data.max(axis=ax, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=ax, keepdims=True)
-
-    def vjp(g):
-        gx = g * out
-        inner = np.add.reduce(gx, axis=ax, keepdims=True)
-        np.subtract(g, inner, out=gx)
-        gx *= out
-        return (gx,)
-
-    return _make(out, (x,), vjp)
+    out = _softmax(x.data.copy(order="K"), ax, mask)
+    return _make(out, (x,), lambda g: (_softmax_vjp(g, out, ax),))
 
 
 def normalize_rows(x: Tensor) -> Tensor:
     """Divide each row (last axis) by its sum. Row sums must be positive."""
     x = as_tensor(x)
-    s = x.data.sum(axis=-1, keepdims=True)
-    out = x.data / s
-
-    def vjp(g):
-        gx = g * out
-        inner = np.add.reduce(gx, axis=-1, keepdims=True)
-        np.subtract(g, inner, out=gx)
-        gx /= s
-        return (gx,)
-
-    return _make(out, (x,), vjp)
+    out, s = _normalize_rows(x.data.copy(order="K"))
+    return _make(out, (x,), lambda g: (_normalize_rows_vjp(g, out, s),))
 
 
 LN_EPS = 1e-5
@@ -680,6 +668,115 @@ def sum_all(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out = x.data.sum()
     return _make(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
+
+
+# ---------------------------------------------------------------------------
+# Attention
+# ---------------------------------------------------------------------------
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, d) -> (..., heads, n, d / heads) as a view; head h holds
+    features [h * d / heads, (h + 1) * d / heads)."""
+    *lead, n, d = x.shape
+    return np.swapaxes(x.reshape(*lead, n, heads, d // heads), -3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., heads, n, d_h) -> (..., n, heads * d_h), inverse of _split_heads."""
+    *lead, heads, n, d_h = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, n, heads * d_h)
+
+
+def _key_mask_view(key_mask, scores_ndim: int):
+    """View of a (n_v,) or (B, n_v) key mask that broadcasts against scores
+    (…, heads, n_q, n_v)."""
+    if key_mask is None:
+        return None
+    m = np.asarray(key_mask, dtype=bool)
+    if not m.any():
+        raise DomainError("all keys masked")
+    if m.ndim == 1:
+        return m
+    return m.reshape(m.shape[:1] + (1,) * (scores_ndim - 2) + m.shape[1:])
+
+
+def _check_attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> None:
+    if q.ndim < 2 or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1] \
+            or v.shape != k.shape:
+        raise ShapeError(
+            f"attend shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    if heads < 1 or q.shape[-1] % heads != 0:
+        raise ShapeError(f"cannot split width {q.shape[-1]} into {heads} heads")
+
+
+def _weights(qh: np.ndarray, kh: np.ndarray, key_mask, slot: bool):
+    """The (..., heads, n_q, n_v) weights of split heads, the scores'
+    scale, and what the slot-mode VJP reads: (column softmax, float mask
+    or None, row sums); None in plain mode."""
+    c = 1.0 / math.sqrt(qh.shape[-1])
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= c
+    mask = _key_mask_view(key_mask, scores.ndim)
+    if not slot:
+        return _softmax(scores, scores.ndim - 1, mask), c, None
+    # softmax over the queries, so no key is ignored, then renormalized
+    # rows; the kernels write over their input, so two score-sized
+    # arrays are alive at peak
+    col = _softmax(scores, scores.ndim - 2)
+    mf = None if mask is None else mask.astype(col.dtype)
+    w, s = _normalize_rows(col.copy() if mf is None else col * mf)
+    return w, c, (col, mf, s)
+
+
+def attention_weights(q, k, heads: int, key_mask=None, slot: bool = False) -> np.ndarray:
+    """The (…, heads, n_q, n_v) weights `attend` applies, forward only."""
+    q, k = as_tensor(q), as_tensor(k)
+    _check_attend(q, k, k, heads)
+    return _weights(_split_heads(q.data, heads), _split_heads(k.data, heads),
+                    key_mask, slot)[0]
+
+
+def attend(q, k, v, heads: int, key_mask=None, slot: bool = False) -> Tensor:
+    """Scaled dot-product attention of every head at once, as one node.
+
+    q is (..., n_q, d), k and v (..., n_v, d): the projected queries, keys
+    and values. Plain mode softmaxes each query's scores over the keys;
+    slot mode softmaxes each key's column over the queries, zeroes masked
+    key columns and divides each row by its sum. A (n_v,) or (B, n_v)
+    `key_mask` marks the valid keys, which alone get weight. Returns the
+    weighted values with the heads merged back, (..., n_q, d).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    _check_attend(q, k, v, heads)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    w, c, slot_parts = _weights(qh, kh, key_mask, slot)
+    out = _merge_heads(w @ vh)
+
+    def vjp(g):
+        # the VJPs of split, scores, scale, softmax (slot: softmax, mask,
+        # row renormalization), weighted sum and merge, in tape order
+        g = _split_heads(g, heads)
+        gw = g @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(w, -1, -2) @ g
+        if slot_parts is None:
+            gs = _softmax_vjp(gw, w, w.ndim - 1)
+        else:
+            col, mf, s = slot_parts
+            gs = _normalize_rows_vjp(gw, w, s)
+            if mf is not None:
+                gs = gs * mf
+            gs = _softmax_vjp(gs, col, col.ndim - 2)
+        gs = gs * c
+        gq = gs @ kh
+        # the key gradient as the transpose of q^T g, as the unfused ops made
+        # it: g^T q holds the same values in another memory layout, which
+        # the key projection's VJP rounds differently
+        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        return _merge_heads(gq), _merge_heads(gk), _merge_heads(gv)
+
+    return _make(out, (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------

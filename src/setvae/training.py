@@ -5,8 +5,9 @@ Rng(seed, "shuffle", epoch) and all per-step noise from
 Rng(seed, "noise", step), so a run resumed from step k replays steps
 k+1.. with exactly the bits an uninterrupted run would have used.
 
-Each step appends one log line; a resume truncates the log to the lines
-up to the checkpoint's step, in place, and appends from there:
+Each step appends one log line. A fresh run refuses a directory that
+holds checkpoints, and a resume truncates the log to the lines up to the
+checkpoint's step, in place, and appends from there:
 
     step=N recon=R kl=K beta=B lr=L total=T
 
@@ -112,6 +113,14 @@ def train(
     if ds.dim != cfg.out_dim:
         raise ValueError(
             f"dataset dimension {ds.dim} does not match out_dim {cfg.out_dim}"
+        )
+    if resume is None and os.path.isdir(out_dir) and any(
+        name.endswith(".svae") for name in os.listdir(out_dir)
+    ):
+        # a fresh run would truncate the log beside another run's checkpoints
+        raise ValueError(
+            f"{out_dir} holds checkpoints of an earlier run; resume from one "
+            "of them or train into another directory"
         )
     dtype = cfg.np_dtype
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from setvae import tensor as T
-from setvae.attention import _key_mask_for_scores, _scores, _slot_parts
 from setvae.checkpoint import load_model
 
 
@@ -151,11 +150,103 @@ def multihead_per_head(Q, K, V, p, key_mask=None, mode="plain"):
     return T.add_row(T.matmul(merged, p.W_o), p.b_o), weights
 
 
+# ----------------------------------------------------------------------
+# Reference attention core: the tape ops `T.attend` fuses, one node each
+# ----------------------------------------------------------------------
+
+def split_heads(x, heads: int):
+    """(..., n, d) -> (..., heads, n, d / heads); head h holds features
+    [h * d / heads, (h + 1) * d / heads)."""
+    x = T.as_tensor(x)
+    if x.ndim < 2 or heads < 1 or x.shape[-1] % heads != 0:
+        raise T.ShapeError(f"cannot split shape {x.shape} into {heads} heads")
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    out = np.swapaxes(x.data.reshape(*lead, n, heads, d // heads), -3, -2)
+    return T._make(out, (x,), lambda g: (np.swapaxes(g, -3, -2).reshape(x.shape),))
+
+
+def merge_heads(x):
+    """(..., heads, n, d_h) -> (..., n, heads * d_h), inverse of split_heads."""
+    x = T.as_tensor(x)
+    if x.ndim < 3:
+        raise T.ShapeError(f"merge_heads needs a head axis, got shape {x.shape}")
+    lead, (heads, n, d_h) = x.shape[:-3], x.shape[-3:]
+    out = np.swapaxes(x.data, -3, -2).reshape(*lead, n, heads * d_h)
+
+    def vjp(g):
+        return (np.swapaxes(g.reshape(*lead, n, heads, d_h), -3, -2),)
+
+    return T._make(out, (x,), vjp)
+
+
+def key_mask_for_scores(key_mask, scores_ndim: int):
+    """View of a (n_v,) or (B, n_v) key mask that broadcasts against scores
+    (n_q, n_v), (B, n_q, n_v) or, with a head axis, (…, heads, n_q, n_v)."""
+    if key_mask is None:
+        return None
+    m = np.asarray(key_mask, dtype=bool)
+    if not m.any():
+        raise T.DomainError("all keys masked")
+    if m.ndim == 1:
+        return m
+    return m.reshape(m.shape[:1] + (1,) * (scores_ndim - 2) + m.shape[1:])
+
+
+def slot_parts(scores, mask):
+    """Column-normalized weights and their row renormalization.
+
+    The first output softmaxes each key column over the queries, so every
+    unmasked column sums to 1 (no key is ignored) and masked columns are
+    exactly 0. The second divides each row by its sum, giving the weights
+    actually applied to values.
+    """
+    col_norm = T.softmax_axis(scores, axis=-2)
+    if mask is not None:
+        col_norm = T.mask_mul(col_norm, mask)
+    return col_norm, T.normalize_rows(col_norm)
+
+
+def scaled_scores(q, k):
+    """Scaled dot products q k^T / sqrt(d_h) over the last two axes."""
+    return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+
+
+def attention_weights(scores, key_mask, slot: bool):
+    mask = key_mask_for_scores(key_mask, scores.ndim)
+    if slot:
+        return slot_parts(scores, mask)[1]
+    return T.softmax_axis(scores, axis=-1, mask=mask)
+
+
+def attend_composed(q, k, v, heads, key_mask=None, slot=False):
+    """`T.attend` as the composition of tape ops it fuses."""
+    w = attention_weights(
+        scaled_scores(split_heads(q, heads), split_heads(k, heads)), key_mask, slot
+    )
+    return merge_heads(T.matmul(w, split_heads(v, heads)))
+
+
+def multihead_composed(Q, V, p, key_mask=None, slot=False):
+    """`multihead` with `attend_composed` for its core."""
+    q = T.affine(Q, p.W_q, p.b_q)
+    k = T.affine(V, p.W_k, p.b_k)
+    v = T.affine(V, p.W_v, p.b_v)
+    return T.affine(attend_composed(q, k, v, p.heads, key_mask, slot), p.W_o, p.b_o)
+
+
+def head_weights_composed(q, k, heads, head, key_mask=None, slot=False):
+    """One head's (…, n_q, n_v) weights: that head's narrowed scores, then
+    `attention_weights`, as `multihead_head_weights` computed them."""
+    s = T.narrow(scaled_scores(split_heads(q, heads), split_heads(k, heads)), -3, head, 1)
+    # merging a single head only drops the head axis
+    return merge_heads(attention_weights(s, key_mask, slot))
+
+
 def slot_attention_parts(Q, K, key_mask=None):
     """(column-normalized A', row-renormalized W') of slot attention for raw
     Q and K, through the pieces `multihead(..., slot=True)` runs."""
-    scores = _scores(Q, K)
-    return _slot_parts(scores, _key_mask_for_scores(key_mask, scores.ndim))
+    s = scaled_scores(Q, K)
+    return slot_parts(s, key_mask_for_scores(key_mask, s.ndim))
 
 
 def tape_nodes(out) -> int:

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 import setvae.tensor as T
-from helpers import check_op_grad, rel_err, slot_attention_parts, zero_grads
+from helpers import (
+    check_op_grad, merge_heads, rel_err, slot_attention_parts, split_heads, zero_grads,
+)
 from setvae.attention import AttentionParams, isab
 from setvae.attention import multihead_head_weights
 from setvae.data import Dataset, batch_pad, gen_synthetic, load_jsonl, save_jsonl
@@ -102,9 +104,14 @@ def op_sweep_cases():
         ("matmul_heads_broadcast", T.matmul, [(2, 3, 4, 5), (3, 5, 2)], None),
         ("affine", T.affine, [(3, 4), (4, 2), (2,)], None),
         ("affine_batched", T.affine, [(2, 3, 4), (4, 2), (2,)], None),
-        ("split_heads", lambda x: T.split_heads(x, 2), [(2, 3, 4)], None),
-        ("merge_heads", T.merge_heads, [(2, 2, 3, 2)], None),
+        ("split_heads", lambda x: split_heads(x, 2), [(2, 3, 4)], None),
+        ("merge_heads", merge_heads, [(2, 2, 3, 2)], None),
         ("transpose", T.transpose, [(3, 4)], None),
+        ("attend", lambda q, k, v: T.attend(q, k, v, 2, key_mask=mask),
+         [(2, 3, 4), (2, 4, 4), (2, 4, 4)], None),
+        ("attend_slot",
+         lambda q, k, v: T.attend(q, k, v, 2, key_mask=mask, slot=True),
+         [(2, 3, 4), (2, 4, 4), (2, 4, 4)], None),
         ("add", T.add, [(3, 4), (3, 4)], None),
         ("sub", T.sub, [(3, 4), (3, 4)], None),
         ("mul", T.mul, [(3, 4), (3, 4)], None),
@@ -325,9 +332,9 @@ def test_criterion_slot_attention_normalization():
         for mask in masks:
             for h in range(heads):
                 W = multihead_head_weights(I, x, p, h, key_mask=mask, slot=True)
-                assert np.max(np.abs(W.data.sum(axis=-1) - 1.0)) < 1e-12
+                assert np.max(np.abs(W.sum(axis=-1) - 1.0)) < 1e-12
                 if mask is not None:
-                    assert np.all(W.data[:, ~mask] == 0.0)
+                    assert np.all(W[:, ~mask] == 0.0)
     print("PASS slot attention normalization")
 
 

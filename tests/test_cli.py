@@ -1,5 +1,6 @@
 """End-to-end tests of the command line, run as real subprocesses."""
 
+import argparse
 import csv
 import gc
 import json
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -117,6 +119,21 @@ def test_train_rejects_dimension_mismatch_before_making_out(workspace, tmp_path)
     assert res.returncode == 1
     assert res.stderr == "error: dataset dimension 3 does not match out_dim 2\n"
     assert not out.exists()
+
+
+def test_fresh_train_refuses_a_directory_with_checkpoints(workspace, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(workspace["run"], run)
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in run.iterdir()}
+    res = run_cli(
+        "train", "--config", workspace["config"], "--data", workspace["data"],
+        "--out", run, "--seed", 9,
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "holds checkpoints" in res.stderr
+    after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in run.iterdir()}
+    assert after == before
 
 
 @pytest.mark.parametrize("bad", ["", "step=4 recon=oops"], ids=["blank", "malformed"])
@@ -272,10 +289,36 @@ def test_sample_prefix_property(desk_ckpt, tmp_path):
     assert lines[12][:1] == lines[1] and lines[12][:7] == lines[7]
 
 
+def test_main_builds_one_parser_and_looks_handlers_up_per_call(
+    workspace, tmp_path, monkeypatch
+):
+    built = []
+
+    def counting(*args, **kwargs):  # subcommand parsers are not counted
+        built.append(1)
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+    cli.build_parser.cache_clear()
+    try:
+        argv = ["eval", "--gen", str(workspace["data"]), "--ref", str(workspace["data"])]
+        assert cli.main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args) or 7)
+        assert cli.main(argv) == 7
+        assert len(calls) == 1 and calls[0].gen == str(workspace["data"])
+        monkeypatch.setattr(cli, "cmd_sample", lambda args: calls.append(args) or 8)
+        assert cli.main(["sample", "--ckpt", "c", "--num-samples", "1", "--out", "o"]) == 8
+        assert calls[1].num_samples == 1
+        assert built == [1]
+    finally:
+        cli.build_parser.cache_clear()
+
+
 def test_repeated_sample_commands_hold_no_memory(desk_ckpt, tmp_path, capsys):
     # a long-lived process running `sample` keeps no Python allocation per
-    # command; each command's argparse parser is a reference cycle, so the
-    # readings follow a collection
+    # command; the readings follow a collection, so a reference cycle
+    # freed late does not count
     argv = ["sample", "--ckpt", str(desk_ckpt), "--num-samples", "32",
             "--seed", "1", "--out", str(tmp_path / "samples.jsonl")]
     for _ in range(5):  # warm-up: first-call caches

@@ -1,6 +1,9 @@
 """Tests for the hierarchical model: priors, bottleneck levels, ELBO."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -447,11 +450,56 @@ def test_tape_node_budget():
     assert x.size == 16 and 32 <= min(x.cards) and max(x.cards) <= 64
     x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "noise", 0)))
     loss, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.005)
-    # fused heads and one-node affines (one narrow/matmul/softmax chain
-    # per head built 1191 nodes per step and 522 per set)
-    assert tape_nodes(loss) == 560
+    # one `attend` node per attention core (its split, score, softmax,
+    # weighted-sum and merge ops built 560 nodes per step and 223 per set;
+    # one narrow/matmul/softmax chain per head built 1191 and 522)
+    assert tape_nodes(loss) == 388
     out, _ = model.generate([48], model.draw_noise([48], T.Rng(0, "gen")))
-    assert tape_nodes(out.elems) == 223
+    assert tape_nodes(out.elems) == 143
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
+def test_training_step_peak_memory():
+    # three default-config steps on the budget test's batch, at one BLAS
+    # thread; the child reads its own peak, VmHWM, before and after. With a
+    # tape node per split, score, softmax and merge op of each attention
+    # core, each holding its output until backward, the steps grew it by
+    # 116,180 KiB; with one `attend` node per core, by 92,256 KiB (Linux,
+    # numpy with OpenBLAS)
+    script = """
+from setvae import tensor as T
+from setvae.config import TrainConfig
+from setvae.data import batch_pad, gen_synthetic
+from setvae.model import SetVAE
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM"))
+cfg = TrainConfig()
+model = SetVAE(cfg.model_config(), T.Rng(0, "init"), dtype=cfg.np_dtype)
+sets = [
+    s
+    for kind in ("circle", "cross")
+    for s in gen_synthetic(kind, 8, (32, 64), 0.01, T.Rng(0, kind)).sets
+]
+x = batch_pad(sets, dtype=cfg.np_dtype)
+opt = T.AdamState()
+before = peak()
+for step in range(3):
+    x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "noise", step)))
+    loss, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.005)
+    model.buffer.zero_grad()
+    T.backward(loss)
+    T.clip_grads(model.buffer, cfg.grad_clip)
+    T.adam_step(model.buffer, opt, cfg.lr)
+print(peak() - before)
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 100 * 1024  # peak RSS growth in KiB
 
 
 def test_masked_chamfer_matches_metric():

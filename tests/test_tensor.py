@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from setvae import tensor as T
-from helpers import check_op_grad, numeric_grad, rel_err, zero_grads
+from helpers import (
+    check_op_grad, head_weights_composed, merge_heads, multihead_composed,
+    numeric_grad, rel_err, split_heads, zero_grads,
+)
+from setvae.attention import AttentionParams, multihead, multihead_head_weights
 
 
 def test_matmul_identity():
@@ -154,8 +158,8 @@ def test_elementwise_gradients():
         (lambda x: T.expand_batch(x, 3), [(2, 4)]),
         (T.affine, [(3, 4), (4, 5), (5,)]),
         (T.affine, [(2, 3, 4), (4, 5), (5,)]),
-        (lambda x: T.split_heads(x, 2), [(2, 3, 4)]),
-        (T.merge_heads, [(2, 2, 3, 2)]),
+        (lambda x: split_heads(x, 2), [(2, 3, 4)]),
+        (merge_heads, [(2, 2, 3, 2)]),
         # right side shared across the batch axis of (B, heads, n, d_h)
         (T.matmul, [(2, 3, 4, 5), (3, 5, 2)]),
     ]
@@ -186,6 +190,87 @@ def test_elementwise_gradients():
             assert rel_err(p.grad, numeric_grad(f, a)) < 1e-6
             continue
         assert check_op_grad(op, shapes, rng) < 1e-6
+
+
+def _attend_cases(rng, dtype=np.float64, d=8):
+    """(q, k, v, key_mask, heads) for a single set and a padded batch of
+    two, each without and with a key mask, at 1 and 4 heads. Nine keys:
+    a sum over eight or more rows rounds by their memory layout."""
+    n_q, n_v = 3, 9
+    single = np.array([True, False, True, True, False, True, True, True, False])
+    batch = np.array([[True] * 4 + [False] * 5, [True] * 9])
+    cases = []
+    for heads in (1, 4):
+        for lead, mask in (((), single), ((2,), batch)):
+            q, k, v = (
+                rng.standard_normal(lead + (n, d)).astype(dtype)
+                for n in (n_q, n_v, n_v)
+            )
+            cases += [(q, k, v, None, heads), (q, k, v, mask, heads)]
+    return cases
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: np.array_equal takes -0.0 for +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_attend_matches_composition_bitwise():
+    # the fused node keeps the bits of the tape ops it replaces, in f32:
+    # the output, the forward-only weights and, through the projections
+    # around it, every gradient (a key gradient of another memory layout
+    # changes the bits of the key projection's VJP)
+    rng = np.random.default_rng(51)
+    cases = _attend_cases(rng, np.float32) + _attend_cases(rng, np.float32, d=64)
+    for Q, V, _, mask, heads in cases:
+        p = AttentionParams.init(Q.shape[-1], heads, T.Init(T.Rng(heads), np.float32))
+        params = T.named_params(p, "p")
+        for slot in (False, True):
+            outs, grads = [], []
+            for op in (multihead, multihead_composed):
+                leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (Q, V)]
+                out = op(*leaves, p, key_mask=mask, slot=slot)
+                cot = np.linspace(-1, 1, out.size, dtype=np.float32).reshape(out.shape)
+                T.backward(T.sum_all(T.mul(out, T.as_tensor(cot))))
+                outs.append(out.data)
+                grads.append([l.grad for l in leaves] + [t.grad for t in params.values()])
+                zero_grads(params)
+            assert outs[0].dtype == np.float32
+            assert same_bits(outs[0], outs[1])
+            for g, want in zip(*grads):
+                # the feed-forward and layer-norm weights are not multihead's
+                assert (g is None) == (want is None)
+                assert want is None or same_bits(g, want)
+            q, k = T.affine(Q, p.W_q, p.b_q), T.affine(V, p.W_k, p.b_k)
+            w = T.attention_weights(q, k, heads, key_mask=mask, slot=slot)
+            for h in range(heads):
+                want = head_weights_composed(q, k, heads, h, key_mask=mask, slot=slot)
+                assert same_bits(w[..., h, :, :], want.data)
+                assert same_bits(multihead_head_weights(Q, V, p, h, mask, slot), want.data)
+
+
+def test_attend_gradients():
+    rng = np.random.default_rng(52)
+    for q, k, v, mask, heads in _attend_cases(rng):
+        for slot in (False, True):
+            err = check_op_grad(
+                lambda *t: T.attend(*t, heads, key_mask=mask, slot=slot),
+                None, rng, arrays=[q, k, v],
+            )
+            assert err < 1e-6, (heads, mask is not None, q.ndim, slot, err)
+
+
+def test_attend_shape_errors():
+    x = T.as_tensor(np.ones((2, 3, 8)))
+    with pytest.raises(T.ShapeError, match="cannot split width 8 into 3 heads"):
+        T.attend(x, x, x, 3)
+    with pytest.raises(T.ShapeError, match="attend shapes do not agree"):
+        T.attend(x, T.as_tensor(np.ones((3, 8))), T.as_tensor(np.ones((3, 8))), 2)
+    with pytest.raises(T.ShapeError, match="attend shapes do not agree"):
+        T.attend(x, x, T.as_tensor(np.ones((2, 4, 8))), 2)
+    with pytest.raises(T.DomainError, match="all keys masked"):
+        T.attend(x, x, x, 2, key_mask=np.zeros((2, 3), dtype=bool))
 
 
 def test_reduce_forward():

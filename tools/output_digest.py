@@ -18,6 +18,9 @@ Runs, at one BLAS thread, on the `setvae` package in this checkout's
   `generate` call) and `sample --n 300 --num-samples 20` (more rows than
   one call takes);
 - `reconstruct`, and `attn-export` on the encoder and the generator side;
+- the small model with `out_dim = 3`, trained for 4 steps on 20 sets of
+  6-12 points on a sphere, then `sample`, `reconstruct` and `attn-export`
+  on both sides, whose CSV has a `pz` column;
 - `eval --distance cd` on 16 vs 16 and on 60 vs 60 sets of 32-64
   points (the 120 pooled sets span several chunks of Chamfer rows), and
   on 21 vs 21 sets, 20 of 32-64 points and one of 3,000 (a large set
@@ -88,6 +91,18 @@ def corpus(path: Path, count: int, n_range: tuple, seed: int, big: int = 0) -> N
     data.save_jsonl(data.Dataset(sets, labels), path)
 
 
+def sphere_corpus(path: Path, count: int, n_range: tuple, seed: int) -> None:
+    """`count` 3D sets of points on spheres of radius 0.25 about 0.5."""
+    rng = T.Rng(seed, "sphere")
+    sets = []
+    for i in range(count):
+        r = rng.fork(i)
+        n = int(r.fork("n").integers(n_range[0], n_range[1] + 1))
+        p = r.fork("p").normal((n, 3))
+        sets.append(0.5 + 0.25 * p / np.linalg.norm(p, axis=1, keepdims=True))
+    data.save_jsonl(data.Dataset(sets), path)
+
+
 def main(out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
@@ -141,6 +156,22 @@ def main(out: Path) -> int:
         cli(f"attn_{side}", "attn-export", "--ckpt", final, "--data", small_data,
             "--level", level, "--side", side, "--head", 1,
             "--out", out / f"attn_{side}.csv")
+
+    data_3d, small_3d = out / "small_3d.jsonl", out / "small_3d"
+    sphere_corpus(data_3d, 20, (6, 12), 8)
+    (out / "small_3d.cfg").write_text(
+        SMALL_CONFIG.replace("steps = 6", "steps = 4") + "out_dim = 3\n"
+    )
+    cli("train_small_3d", "train", "--config", out / "small_3d.cfg",
+        "--data", data_3d, "--out", small_3d)
+    final_3d = small_3d / "final.svae"
+    cli("sample_3d", "sample", "--ckpt", final_3d, "--num-samples", 6,
+        "--seed", 8, "--out", out / "sample_3d.jsonl")
+    cli("reconstruct_3d", "reconstruct", "--ckpt", final_3d, "--data", data_3d,
+        "--out", out / "recon_3d.jsonl")
+    for side, level in (("encoder", 1), ("generator", 0)):
+        cli(f"attn_{side}_3d", "attn-export", "--ckpt", final_3d, "--data", data_3d,
+            "--level", level, "--side", side, "--out", out / f"attn_{side}_3d.csv")
 
     for name, distance, count, n_range, big in (
         ("cd", "cd", 16, (32, 64), 0),
