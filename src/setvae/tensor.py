@@ -4,7 +4,9 @@ Everything downstream (attention blocks, the latent hierarchy, losses) is
 built from the ops in this module. Op outputs are immutable values: every
 op returns a fresh tensor and records its inputs plus a vector-Jacobian
 callback, so the tape is rebuilt on each forward pass and variable set
-cardinality never invalidates a cached graph. A leaf is
+cardinality never invalidates a cached graph. `backward` consumes the
+tape it walks, so a step's forward arrays are freed during its own
+backward, even while the caller still holds the loss. A leaf is
 `Tensor(a, requires_grad=True)`, and only leaves change in place:
 `backward(loss)` adds into a leaf's `.grad`, and Adam writes the parameters.
 
@@ -274,9 +276,18 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
+_RELEASED = object()  # the `_vjp` of an op output whose tape backward consumed
+
+
 def backward(loss: Tensor) -> None:
     """Reverse traversal from a scalar loss; accumulates into leaf .grad,
-    allocating it on a leaf's first gradient when it is None."""
+    allocating it on a leaf's first gradient when it is None.
+
+    The walk consumes the tape: each op output it passes gives up its
+    parents and VJP, so the forward's arrays are freed as it goes. Every
+    tensor keeps its `.data` and every leaf its `.grad`, but a second
+    `backward` that reaches a released tensor raises ValueError.
+    """
     if loss.ndim != 0:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
@@ -291,6 +302,11 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _RELEASED:
+            raise ValueError(
+                "backward reached a tensor whose tape an earlier backward "
+                "released; run the forward pass again"
+            )
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -298,18 +314,22 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        parents, vjp = node._parents, node._vjp
+        if parents:
+            node._parents, node._vjp = (), _RELEASED
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if not node._parents:
+        if not parents:
             if node.requires_grad:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data) + g
                 else:  # in place: a parameter's view of ParamBuffer.grad
                     node.grad += g
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
+        for p, pg in zip(parents, vjp(g)):
             if pg is None or not (p.requires_grad or p._parents):
                 continue
             if id(p) in grads:

@@ -250,7 +250,8 @@ def slot_attention_parts(Q, K, key_mask=None):
 
 
 def tape_nodes(out) -> int:
-    """Op outputs (tensors with parents) reachable from `out`, itself included."""
+    """Op outputs (tensors with parents) reachable from `out`, itself
+    included: the size of a tape before `backward`, which consumes it."""
     seen, stack = set(), [out]
     while stack:
         t = stack.pop()

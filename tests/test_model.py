@@ -459,47 +459,63 @@ def test_tape_node_budget():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self")
-def test_training_step_peak_memory():
+def test_training_step_peak_memory(tmp_path):
     # three default-config steps on the budget test's batch, at one BLAS
-    # thread; the child reads its own peak, VmHWM, before and after. With a
-    # tape node per split, score, softmax and merge op of each attention
-    # core, each holding its output until backward, the steps grew it by
-    # 116,180 KiB; with one `attend` node per core, by 92,256 KiB (Linux,
-    # numpy with OpenBLAS)
+    # thread, in a hand-written loop and through `training.train`; the
+    # child reads its own peak, VmHWM, before and after each step. Both
+    # loops keep a step's loss bound while the next step runs. When the
+    # tape outlived its backward, step 2 built its tape beside step 1's:
+    # the loop grew the peak by 49,188 KiB in step 1 and by 92,208 KiB
+    # over three steps, `train` by 52,352 and 95,368. With `backward`
+    # consuming the tape, the loop reads 43,692 and 48,968 KiB, `train`
+    # 46,824 and 52,472 (Linux, numpy with OpenBLAS)
     script = """
+import sys
 from setvae import tensor as T
 from setvae.config import TrainConfig
-from setvae.data import batch_pad, gen_synthetic
+from setvae.data import Dataset, batch_pad, gen_synthetic
 from setvae.model import SetVAE
+from setvae.training import train
 def peak():
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith("VmHWM"))
-cfg = TrainConfig()
-model = SetVAE(cfg.model_config(), T.Rng(0, "init"), dtype=cfg.np_dtype)
+cfg = TrainConfig(steps=3, batch_size=16)
 sets = [
     s
     for kind in ("circle", "cross")
     for s in gen_synthetic(kind, 8, (32, 64), 0.01, T.Rng(0, kind)).sets
 ]
-x = batch_pad(sets, dtype=cfg.np_dtype)
-opt = T.AdamState()
-before = peak()
-for step in range(3):
-    x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "noise", step)))
-    loss, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.005)
-    model.buffer.zero_grad()
-    T.backward(loss)
-    T.clip_grads(model.buffer, cfg.grad_clip)
-    T.adam_step(model.buffer, opt, cfg.lr)
-print(peak() - before)
+peaks = []
+if sys.argv[1] == "loop":
+    model = SetVAE(cfg.model_config(), T.Rng(0, "init"), dtype=cfg.np_dtype)
+    x = batch_pad(sets, dtype=cfg.np_dtype)
+    opt = T.AdamState()
+    peaks.append(peak())
+    for step in range(3):
+        x_hat, kls, _ = model.infer(x, model.draw_noise(x.cards, T.Rng(0, "noise", step)))
+        loss, _, _ = model.elbo_loss(x, x_hat, kls, beta=0.005)
+        model.buffer.zero_grad()
+        T.backward(loss)
+        T.clip_grads(model.buffer, cfg.grad_clip)
+        T.adam_step(model.buffer, opt, cfg.lr)
+        peaks.append(peak())
+else:
+    peaks.append(peak())
+    train(cfg, Dataset(sets), sys.argv[2], log_fn=lambda line: peaks.append(peak()))
+print(*(p - peaks[0] for p in peaks[1:]))
 """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    res = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
-    assert int(res.stdout) <= 100 * 1024  # peak RSS growth in KiB
+    for case in ("loop", "train"):
+        res = subprocess.run(
+            [sys.executable, "-c", script, case, str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        first, _, third = map(int, res.stdout.split())  # peak RSS growth in KiB
+        assert third <= 64 * 1024, case
+        # steps 2-3 reuse step 1's memory: with the tape outliving its
+        # backward they added 87% and 82% of step 1's growth, now 12% each
+        assert third - first <= first / 4, case
 
 
 def test_masked_chamfer_matches_metric():

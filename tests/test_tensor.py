@@ -1,12 +1,14 @@
 """Tensor substrate: forward oracles, gradient checks, Adam, RNG."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from setvae import tensor as T
 from helpers import (
     check_op_grad, head_weights_composed, merge_heads, multihead_composed,
-    numeric_grad, rel_err, split_heads, zero_grads,
+    numeric_grad, rel_err, split_heads, tape_nodes, zero_grads,
 )
 from setvae.attention import AttentionParams, multihead, multihead_head_weights
 
@@ -337,6 +339,52 @@ def test_backward_accumulates_across_calls():
 def test_backward_nonscalar_error():
     with pytest.raises(T.ShapeError):
         T.backward(T.as_tensor([1.0, 2.0]))
+
+
+def _released_graph(seed):
+    """Leaves and an affine -> tanh -> layer_norm -> sum_all loss over them."""
+    rng = np.random.default_rng(seed)
+    leaves = [
+        T.Tensor(rng.standard_normal(shape), requires_grad=True)
+        for shape in [(4, 3), (3, 5), (5,), (5,), (5,)]
+    ]
+    x, w, b, gain, bias = leaves
+    h1 = T.affine(x, w, b)
+    h2 = T.tanh(h1)
+    h3 = T.layer_norm(h2, gain, bias)
+    return leaves, [h1, h2, h3], T.sum_all(h3)
+
+
+def test_backward_releases_the_tape():
+    leaves, mids, loss = _released_graph(31)
+    arrays = [weakref.ref(t.data) for t in mids]
+    value = loss.data.copy()
+    del mids
+    assert tape_nodes(loss) == 4
+    T.backward(loss)
+    # the walk dropped every edge and VJP closure, so the forward's
+    # intermediates went with them; the loss and the leaves keep their arrays
+    assert [r() is None for r in arrays] == [True, True, True]
+    assert loss.data == value
+    assert tape_nodes(loss) == 0
+    fresh, _, fresh_loss = _released_graph(31)
+    T.backward(fresh_loss)
+    for got, want in zip(leaves, fresh):
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+def test_backward_on_a_released_tape_raises():
+    leaves, (_, h2, _), loss = _released_graph(32)
+    T.backward(loss)
+    grads = [p.grad.copy() for p in leaves]
+    with pytest.raises(ValueError, match="released"):
+        T.backward(loss)
+    # a new op on a released output is no leaf either
+    with pytest.raises(ValueError, match="released"):
+        T.backward(T.sum_all(T.mul(h2, h2)))
+    assert h2.grad is None
+    for p, g in zip(leaves, grads):
+        assert np.array_equal(p.grad, g)
 
 
 def test_mask_ops():
