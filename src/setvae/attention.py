@@ -7,9 +7,13 @@ The building blocks, bottom to top:
   ``slot=True``, softmax over queries then per-query renormalization so
   no key is ignored. Equivariant in Q, invariant to permutations of V.
   Four projections around one `T.attend` node, which runs every head
-  at once and merges them back before the output projection.
+  at once and merges them back before the output projection. Nothing
+  below calls it: it stays for the tests and the benchmark's tracer.
 - ``mab(Q, V)``: attention + residual on the query + layer norm + affine
-  feed-forward + second residual + layer norm.
+  feed-forward + second residual + layer norm, as multihead's core and
+  two `T.add_norm` nodes. The first applies the output projection, the
+  second the feed-forward map, so neither map's output nor either sum
+  is held on the tape.
 - ``project``: the slot MAB ``h = mab(I, x, slot=True)`` that projects a set
   onto the m learned inducing points of the tensor ``I`` (m, d);
   invariant to permutations of x. Every encoder level and every
@@ -140,11 +144,11 @@ class ISAB(NamedTuple):
         )
 
 
-def multihead(
+def _core(
     Q: Tensor, V: Tensor, p: AttentionParams, key_mask=None, slot: bool = False
 ) -> Tensor:
-    """Multihead(Q, V, V): V supplies both keys and values; masked keys
-    receive weight exactly 0."""
+    """The q, k and v projections and the `T.attend` node over them: the
+    merged heads, before the output projection."""
     d = p.W_q.shape[0]
     if Q.shape[-1] != d or V.shape[-1] != d:
         raise T.ShapeError(
@@ -153,7 +157,15 @@ def multihead(
     q = T.affine(Q, p.W_q, p.b_q)
     k = T.affine(V, p.W_k, p.b_k)
     v = T.affine(V, p.W_v, p.b_v)
-    return T.affine(T.attend(q, k, v, p.heads, key_mask, slot), p.W_o, p.b_o)
+    return T.attend(q, k, v, p.heads, key_mask, slot)
+
+
+def multihead(
+    Q: Tensor, V: Tensor, p: AttentionParams, key_mask=None, slot: bool = False
+) -> Tensor:
+    """Multihead(Q, V, V): V supplies both keys and values; masked keys
+    receive weight exactly 0."""
+    return T.affine(_core(Q, V, p, key_mask, slot), p.W_o, p.b_o)
 
 
 def multihead_head_weights(
@@ -174,11 +186,11 @@ def multihead_head_weights(
 def mab(
     Q: Tensor, V: Tensor, p: AttentionParams, key_mask=None, slot: bool = False
 ) -> Tensor:
-    """MAB(Q, V) = LN(a + FF(a)) with a = LN(Q + Multihead(Q, V, V))."""
-    att = multihead(Q, V, p, key_mask=key_mask, slot=slot)
-    a = T.layer_norm(T.add(Q, att), p.ln1_g, p.ln1_b)
-    ff = T.affine(a, p.ff_w, p.ff_b)
-    return T.layer_norm(T.add(a, ff), p.ln2_g, p.ln2_b)
+    """MAB(Q, V) = LN(a + FF(a)) with a = LN(Q + Multihead(Q, V, V)): two
+    `T.add_norm` nodes, the first applying multihead's output projection."""
+    core = _core(Q, V, p, key_mask, slot)
+    a = T.add_norm(Q, core, p.W_o, p.b_o, p.ln1_g, p.ln1_b)
+    return T.add_norm(a, a, p.ff_w, p.ff_b, p.ln2_g, p.ln2_b)
 
 
 def project(x: Tensor, I: Tensor, p: AttentionParams, mask=None) -> Tensor:

@@ -3,17 +3,18 @@
 Layout, all integers little-endian:
 
     magic   4 bytes  b"SVAE"
-    version u32      1
+    version u32      1 (f32 payloads) or 2 (f64 payloads)
     model section:   count u32, then per tensor:
                      name_len u32, name utf-8, rank u32, dims u32 each,
-                     payload f32 little-endian, row-major
+                     payload little-endian, row-major
     optimizer section: same layout
     checksum u64     first 8 bytes of SHA-256 over everything above
 
-Payloads are pinned to f32, which makes save -> load -> save byte-stable
-and keeps f32 training runs exactly resumable. Model metadata that is not
-a parameter (config record, cardinality histogram, step counter) travels
-as ordinary named tensors; integers below 2^24 are exact in f32.
+Payloads are written at the model's dtype: an f32 model writes version 1,
+an f64 model version 2. That makes save -> load -> save byte-stable and
+keeps training runs exactly resumable at either dtype. Model metadata that
+is not a parameter (config record, cardinality histogram, step counter)
+travels as ordinary named tensors; integers below 2^24 are exact in f32.
 
 The config record `meta/config` is `ModelConfig`'s fields in declaration
 order: an int field is one entry, `out_activation` its index in
@@ -43,7 +44,8 @@ from . import tensor as T
 from .model import ACTIVATIONS, CardinalityDist, ModelConfig, SetVAE
 
 MAGIC = b"SVAE"
-VERSION = 1
+VERSION = 1  # the f32 format
+PAYLOADS = {VERSION: np.dtype("<f4"), 2: np.dtype("<f8")}  # version -> payload
 
 
 class CheckpointError(Exception):
@@ -62,10 +64,10 @@ class CheckpointChecksumError(CheckpointError):
     """The body does not match its checksum, truncation included."""
 
 
-def _pack_section(tensors: dict[str, np.ndarray]) -> bytes:
+def _pack_section(tensors: dict[str, np.ndarray], payload: np.dtype) -> bytes:
     out = [struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.ascontiguousarray(arr, dtype=payload)
         nb = name.encode("utf-8")
         out.append(struct.pack("<I", len(nb)))
         out.append(nb)
@@ -91,7 +93,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _unpack_section(r: _Reader) -> dict[str, np.ndarray]:
+def _unpack_section(r: _Reader, payload: np.dtype) -> dict[str, np.ndarray]:
     count = r.u32()
     out = {}
     for _ in range(count):
@@ -99,7 +101,8 @@ def _unpack_section(r: _Reader) -> dict[str, np.ndarray]:
         rank = r.u32()
         dims = [r.u32() for _ in range(rank)]
         # exact, where np.prod wraps in int64 and could size a record negative
-        arr = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        size = payload.itemsize * math.prod(dims)
+        arr = np.frombuffer(r.take(size), dtype=payload).reshape(dims)
         if name in out:
             raise CheckpointError(f"duplicate tensor name '{name}'")
         out[name] = arr.copy()
@@ -107,13 +110,17 @@ def _unpack_section(r: _Reader) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(
-    path, model_tensors: dict[str, np.ndarray], opt_tensors: dict[str, np.ndarray]
+    path,
+    model_tensors: dict[str, np.ndarray],
+    opt_tensors: dict[str, np.ndarray],
+    version: int = VERSION,
 ) -> None:
+    payload = PAYLOADS[version]
     body = (
         MAGIC
-        + struct.pack("<I", VERSION)
-        + _pack_section(model_tensors)
-        + _pack_section(opt_tensors)
+        + struct.pack("<I", version)
+        + _pack_section(model_tensors, payload)
+        + _pack_section(opt_tensors, payload)
     )
     checksum = hashlib.sha256(body).digest()[:8]
     # the file at `path` is replaced only once the new bytes are on disk
@@ -137,15 +144,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
     if raw[:4] != MAGIC:
         raise CheckpointMagicError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
     version = struct.unpack("<I", raw[4:8])[0]
-    if version != VERSION:
-        raise CheckpointVersionError(f"version {version}, expected {VERSION}")
+    if version not in PAYLOADS:
+        raise CheckpointVersionError(
+            f"version {version}, expected one of {sorted(PAYLOADS)}"
+        )
     body, checksum = raw[:-8], raw[-8:]
     if hashlib.sha256(body).digest()[:8] != checksum:
         raise CheckpointChecksumError("checksum mismatch (file corrupt or truncated)")
     r = _Reader(body)
     r.take(8)  # magic + version already validated
-    model = _unpack_section(r)
-    opt = _unpack_section(r)
+    model = _unpack_section(r, PAYLOADS[version])
+    opt = _unpack_section(r, PAYLOADS[version])
     if r.pos != len(body):
         raise CheckpointError(f"{len(body) - r.pos} trailing bytes after sections")
     return model, opt
@@ -233,7 +242,7 @@ def save_model(
             for key, vec in (("m", opt_state.m), ("v", opt_state.v)):
                 for s in model.buffer.trained_slots:
                     opt[f"adam/{key}/{s.name}"] = vec[s.span].reshape(s.shape)
-    save_checkpoint(path, tensors, opt)
+    save_checkpoint(path, tensors, opt, 2 if model.dtype == np.float64 else VERSION)
 
 
 def load_model(

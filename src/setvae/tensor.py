@@ -19,7 +19,10 @@ equal shapes. The broadcasts are few and explicit:
 `add_row` and `affine` add a row vector to every row, `matmul` broadcasts
 all leading axes of its two sides against each other (numpy rules), and
 `mask_mul`/`mask_fill` take any mask that broadcasts to their input.
-`affine(x, W, b)` computes x @ W + b as a single tape node.
+`affine(x, W, b)` computes x @ W + b as a single tape node, and
+`add_norm(res, x, W, b, gain, bias)` a residual sublayer,
+layer_norm(res + x @ W + b), as another: neither its affine output nor
+its sum is an array the tape holds.
 
 Parameters: a model declares its parameters through `Init`, and a
 `ParamBuffer` lays them out in one vector, read off their names and shapes
@@ -602,32 +605,83 @@ def normalize_rows(x: Tensor) -> Tensor:
 LN_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization over the last axis, then affine gain/bias."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    # np.add.reduce(...) / d is what np.mean computes, without its wrapper
-    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+def _layer_norm(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Scale the centered rows `xhat` (last axis) to unit variance in place,
+    then apply gain and bias; returns the output and each row's inverse
+    standard deviation."""
+    d = xhat.shape[-1]
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
-    np.multiply(gain.data, xhat, out=out)
-    out += bias.data
+    np.multiply(gain, xhat, out=out)
+    out += bias
+    return out, inv
+
+
+def _layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv):
+    """The gradients of a layer norm's input, gain and bias."""
+    d = xhat.shape[-1]
+    gx = g * gain
+    prod = gx * xhat
+    mean_g = np.add.reduce(gx, axis=-1, keepdims=True) / d
+    mean_gx = np.add.reduce(prod, axis=-1, keepdims=True) / d
+    gx -= mean_g
+    np.multiply(xhat, mean_gx, out=prod)
+    gx -= prod
+    gx *= inv
+    lead = tuple(range(g.ndim - 1))
+    np.multiply(g, xhat, out=prod)
+    return gx, prod.sum(axis=lead), g.sum(axis=lead)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization over the last axis, then affine gain/bias."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    # a sum over the row divided by its length is what np.mean computes,
+    # without its wrapper
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / x.shape[-1]
+    out, inv = _layer_norm(xhat, gain.data, bias.data)
+    return _make(
+        out, (x, gain, bias), lambda g: _layer_norm_vjp(g, gain.data, xhat, inv)
+    )
+
+
+def add_norm(res, x, w, b, gain, bias) -> Tensor:
+    """layer_norm(res + (x @ w + b), gain, bias) as one node.
+
+    A residual sublayer: res (..., d_out), x (..., d_in), w (d_in, d_out),
+    and b, gain and bias (d_out,). Neither the affine map nor the sum
+    becomes a tensor, and `res` may be `x`. The node keeps the bits of
+    `layer_norm(add(res, affine(x, w, b)), gain, bias)`, its gradients
+    included.
+    """
+    res, x, w, b, gain, bias = (as_tensor(t) for t in (res, x, w, b, gain, bias))
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"add_norm shapes do not agree: {x.shape} @ {w.shape}")
+    d = w.shape[1]
+    if res.shape != x.shape[:-1] + (d,):
+        raise ShapeError(
+            f"add_norm residual {res.shape} does not match {x.shape} @ {w.shape}"
+        )
+    for name, t in (("b", b), ("gain", gain), ("bias", bias)):
+        if t.shape != (d,):
+            raise ShapeError(f"add_norm expects ({d},) {name}, got {t.shape}")
+    # the sum, then its centered rows, in one buffer; x @ w + b + res holds
+    # the bits of res + (x @ w + b), since float addition commutes
+    xhat = x.data @ w.data
+    xhat += b.data
+    xhat += res.data
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
+    out, inv = _layer_norm(xhat, gain.data, bias.data)
 
     def vjp(g):
-        gx = g * gain.data
-        prod = gx * xhat
-        mean_g = np.add.reduce(gx, axis=-1, keepdims=True) / d
-        mean_gx = np.add.reduce(prod, axis=-1, keepdims=True) / d
-        gx -= mean_g
-        np.multiply(xhat, mean_gx, out=prod)
-        gx -= prod
-        gx *= inv
-        lead = tuple(range(g.ndim - 1))
-        np.multiply(g, xhat, out=prod)
-        return gx, prod.sum(axis=lead), g.sum(axis=lead)
+        gx, ggain, gbias = _layer_norm_vjp(g, gain.data, xhat, inv)
+        # the residual's gradient, then `affine`'s VJP of the same gx
+        rows = gx.reshape(-1, d)
+        gw = x.data.reshape(-1, w.shape[0]).T @ rows
+        return gx, gx @ w.data.T, gw, rows.sum(axis=0), ggain, gbias
 
-    return _make(out, (x, gain, bias), vjp)
+    return _make(out, (res, x, w, b, gain, bias), vjp)
 
 
 def _check_axis(x: Tensor, axis: int, op: str) -> int:

@@ -18,6 +18,12 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: np.array_equal takes -0.0 for +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar-valued f at x (f64 only)."""
     x = np.asarray(x, dtype=np.float64)

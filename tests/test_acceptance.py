@@ -18,7 +18,8 @@ import pytest
 
 import setvae.tensor as T
 from helpers import (
-    check_op_grad, merge_heads, rel_err, slot_attention_parts, split_heads, zero_grads,
+    check_op_grad, merge_heads, rel_err, same_bits, slot_attention_parts, split_heads,
+    zero_grads,
 )
 from setvae.attention import AttentionParams, isab
 from setvae.attention import multihead_head_weights
@@ -137,6 +138,10 @@ def op_sweep_cases():
         ("normalize_rows", T.normalize_rows, [(3, 4)],
          lambda r: [r.random((3, 4)) + 0.5]),
         ("layer_norm", T.layer_norm, [(4, 8), (8,), (8,)], None),
+        ("add_norm", T.add_norm,
+         [(2, 3, 8), (2, 3, 6), (6, 8), (8,), (8,), (8,)], None),
+        ("add_norm_shared", lambda a, *rest: T.add_norm(a, a, *rest),
+         [(3, 8), (8, 8), (8,), (8,), (8,)], None),
         ("reduce_sum", lambda x: T.reduce_sum(x, 1), [(3, 5)], None),
         ("reduce_mean", lambda x: T.reduce_mean(x, 0), [(3, 5)], None),
         ("reduce_min", lambda x: T.reduce_min(x, 1)[0], [(3, 5)], None),
@@ -209,6 +214,33 @@ def test_criterion_gradient_suite():
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     print(f"PASS gradient suite (worst end-to-end {worst:.2e}, {elapsed:.1f}s)")
+
+
+def test_op_sweep_writes_no_input():
+    # several kernels write in place (add_norm, layer_norm, attend and the
+    # softmax kernels), and `add` hands one array to both parents as their
+    # gradient: an `out=` into an input, the op's output or the incoming
+    # gradient would corrupt a sibling's value silently. Each op and its
+    # VJP must leave all of them as they were, bit for bit, and the VJP
+    # must repeat.
+    for name, op, shapes, sampler in op_sweep_cases():
+        rng = np.random.default_rng(hash(name) % 2**32)
+        arrays = sampler(rng) if sampler is not None else [
+            rng.standard_normal(s) for s in shapes
+        ]
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        out_before = out.data.copy()
+        g = rng.standard_normal(out.shape)
+        incoming = g.copy()
+        grads = out._vjp(incoming)
+        for a, leaf in zip(arrays, leaves):
+            assert same_bits(leaf.data, a), name
+        assert same_bits(out.data, out_before), name
+        assert same_bits(incoming, g), name
+        for first, again in zip(grads, out._vjp(g.copy()), strict=True):
+            assert (first is None) == (again is None), name
+            assert first is None or same_bits(first, again), name
 
 
 # ----------------------------------------------------------------------
@@ -550,3 +582,27 @@ def test_criterion_determinism(tmp_path):
             samples.append(sp.read_bytes())
     assert len(set(samples)) == 1
     print("PASS determinism (checkpoints, logs, samples, resume)")
+
+
+def test_criterion_determinism_f64(tmp_path):
+    # the resume check at dtype = f64: a checkpoint holds f64 payloads
+    # (format version 2), so the resumed run replays steps 21-40 with the
+    # bits of the uninterrupted run; f32 payloads rounded them at each save
+    cfg = tmp_path / "small_f64.cfg"
+    cfg.write_text(SMALL_CONFIG + "dtype = f64\n")
+    data = tmp_path / "data.jsonl"
+    save_jsonl(gen_synthetic("circle", 60, (4, 8), 0.01, T.Rng(2, "d")), data)
+
+    full, resumed = tmp_path / "a", tmp_path / "resumed"
+    res = run_cli("train", "--config", cfg, "--data", data, "--out", full)
+    assert res.returncode == 0, res.stderr
+    ckpt = full / "ckpt_000020.svae"
+    assert int.from_bytes(ckpt.read_bytes()[4:8], "little") == 2
+    res = run_cli(
+        "train", "--config", cfg, "--data", data, "--out", resumed, "--resume", ckpt,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (resumed / "final.svae").read_bytes() == (full / "final.svae").read_bytes()
+    # the resume copies no log, so its log holds steps 21-40 alone
+    log = (full / "train_log.txt").read_text().splitlines()
+    assert (resumed / "train_log.txt").read_text().splitlines() == log[20:]

@@ -75,6 +75,30 @@ def test_adam_state_round_trip(tmp_path):
     assert (tmp_path / "again.svae").read_bytes() == path.read_bytes()
 
 
+def test_f64_model_round_trip_keeps_every_bit(tmp_path):
+    # an f64 model writes f64 payloads under version 2; an f32 load of the
+    # file rounds each value once, as an f32 payload would have
+    model = tiny_model(np.float64)
+    buf = model.buffer
+    rng = T.Rng(5, "moments")
+    state = T.AdamState(
+        step=3,
+        m=rng.fork("m").normal((buf.trained,)),
+        v=rng.fork("v").uniform(0.0, 1.0, (buf.trained,)),
+    )
+    path = tmp_path / "f64.svae"
+    save_model(path, model, opt_state=state, step=3)
+    assert int.from_bytes(path.read_bytes()[4:8], "little") == 2
+    loaded, back, _ = load_model(path, dtype=np.float64)
+    assert loaded.buffer.data.tobytes() == buf.data.tobytes()
+    assert back.m.tobytes() == state.m.tobytes()
+    assert back.v.tobytes() == state.v.tobytes()
+    save_model(tmp_path / "again.svae", loaded, opt_state=back, step=3)
+    assert (tmp_path / "again.svae").read_bytes() == path.read_bytes()
+    narrow, _, _ = load_model(path)
+    assert narrow.buffer.data.tobytes() == buf.data.astype(np.float32).tobytes()
+
+
 def test_adam_records_cover_the_trained_parameters(tmp_path):
     # the mixture logits get no gradient, so Adam keeps no moments for them
     model = tiny_model()

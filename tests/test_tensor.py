@@ -8,7 +8,7 @@ import pytest
 from setvae import tensor as T
 from helpers import (
     check_op_grad, head_weights_composed, merge_heads, multihead_composed,
-    numeric_grad, rel_err, split_heads, tape_nodes, zero_grads,
+    numeric_grad, rel_err, same_bits, split_heads, tape_nodes, zero_grads,
 )
 from setvae.attention import AttentionParams, multihead, multihead_head_weights
 
@@ -212,12 +212,6 @@ def _attend_cases(rng, dtype=np.float64, d=8):
     return cases
 
 
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes and bytes: np.array_equal takes -0.0 for +0.0."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def test_attend_matches_composition_bitwise():
     # the fused node keeps the bits of the tape ops it replaces, in f32:
     # the output, the forward-only weights and, through the projections
@@ -273,6 +267,70 @@ def test_attend_shape_errors():
         T.attend(x, x, T.as_tensor(np.ones((2, 4, 8))), 2)
     with pytest.raises(T.DomainError, match="all keys masked"):
         T.attend(x, x, x, 2, key_mask=np.zeros((2, 3), dtype=bool))
+
+
+def _add_norm_composed(res, x, w, b, gain, bias):
+    """`T.add_norm` as the tape ops it fuses."""
+    return T.layer_norm(T.add(res, T.affine(x, w, b)), gain, bias)
+
+
+def test_add_norm_matches_composition_bitwise():
+    # in f32, the output and all six gradients, for a separate residual
+    # (through a non-square map) and for `res is x` as the feed-forward
+    # sublayer calls it, at two widths: a row sum over eight or more
+    # entries rounds by its memory layout
+    rng = np.random.default_rng(61)
+    for lead in ((5,), (2, 5)):
+        for d in (8, 64):
+            for shared in (False, True):
+                d_in = d if shared else d + 3
+                arrays = [
+                    rng.standard_normal(s).astype(np.float32)
+                    for s in (lead + (d,), lead + (d_in,), (d_in, d), (d,), (d,), (d,))
+                ]
+                outs, grads = [], []
+                for op in (T.add_norm, _add_norm_composed):
+                    leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+                    if shared:
+                        leaves[0] = leaves[1]
+                    out = op(*leaves)
+                    cot = np.linspace(-1, 1, out.size, dtype=np.float32).reshape(out.shape)
+                    T.backward(T.sum_all(T.mul(out, T.as_tensor(cot))))
+                    outs.append(out.data)
+                    grads.append([l.grad for l in leaves])
+                assert outs[0].dtype == np.float32
+                assert same_bits(outs[0], outs[1])
+                for g, want in zip(*grads):
+                    assert same_bits(g, want), (lead, d, shared)
+
+
+def test_add_norm_gradient():
+    rng = np.random.default_rng(62)
+    err = check_op_grad(T.add_norm, [(4, 8), (4, 6), (6, 8), (8,), (8,), (8,)], rng)
+    assert err < 1e-6
+    err = check_op_grad(
+        T.add_norm, [(2, 3, 8), (2, 3, 8), (8, 8), (8,), (8,), (8,)], rng
+    )
+    assert err < 1e-6
+    err = check_op_grad(
+        lambda a, *rest: T.add_norm(a, a, *rest),
+        [(2, 3, 8), (8, 8), (8,), (8,), (8,)], rng,
+    )
+    assert err < 1e-6
+
+
+def test_add_norm_shape_errors():
+    x, w, v = (T.as_tensor(np.ones(s)) for s in ((2, 3, 8), (8, 8), (8,)))
+    with pytest.raises(T.ShapeError, match=r"shapes do not agree: \(2, 3, 8\) @ \(6, 8\)"):
+        T.add_norm(x, x, np.ones((6, 8)), v, v, v)
+    with pytest.raises(T.ShapeError, match=r"residual \(2, 3, 4\)"):
+        T.add_norm(np.ones((2, 3, 4)), x, w, v, v, v)
+    short = np.ones(4)
+    for i, name in ((3, "b"), (4, "gain"), (5, "bias")):
+        args = [x, x, w, v, v, v]
+        args[i] = short
+        with pytest.raises(T.ShapeError, match=rf"expects \(8,\) {name}, got \(4,\)"):
+            T.add_norm(*args)
 
 
 def test_reduce_forward():
